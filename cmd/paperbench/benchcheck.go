@@ -45,7 +45,7 @@ func gatedMetric(key string) bool {
 		return true
 	case strings.HasPrefix(key, "stride2_"):
 		return true
-	case key == "parallel_4workers_kernel_MBps":
+	case key == "parallel_4workers_kernel_MBps" || key == "parallel_4workers_kernel_serial_MBps":
 		return true
 	case key == "speedup_kernel_vs_stt_lookup":
 		return true

@@ -48,10 +48,16 @@ type KernelBench struct {
 	CompressedDictStates int     `json:"compressed_dict_states"`
 	CompressedSeq        float64 `json:"compressed_MBps"`
 	STTCompressedDict    float64 `json:"stt_compressed_dict_MBps"`
-	Parallel4            float64 `json:"parallel_4workers_kernel_MBps"`
-	SpeedupVsLookup      float64 `json:"speedup_kernel_vs_stt_lookup"`
-	SpeedupStride2       float64 `json:"speedup_stride2_vs_kernel"`
-	SpeedupCompressed    float64 `json:"speedup_compressed_vs_stt"`
+	// Parallel4 fans 64 KiB chunks of the kernel workload over 4
+	// workers; each chunk scans as 4 lanes under the kernel's lane
+	// rule. Parallel4Serial is the same fan-out on the same dictionary
+	// with InterleaveK 1, each chunk on the single-stream loop: the
+	// pair isolates what the lanes add to the pooled chunk path.
+	Parallel4         float64 `json:"parallel_4workers_kernel_MBps"`
+	Parallel4Serial   float64 `json:"parallel_4workers_kernel_serial_MBps"`
+	SpeedupVsLookup   float64 `json:"speedup_kernel_vs_stt_lookup"`
+	SpeedupStride2    float64 `json:"speedup_stride2_vs_kernel"`
+	SpeedupCompressed float64 `json:"speedup_compressed_vs_stt"`
 }
 
 // measureMBps times fn over the given volume: one warmup run, then the
@@ -211,18 +217,23 @@ func runKernelBench(w io.Writer, d *dfa.DFA, inputBytes int, jsonPath string) er
 		core.EngineOptions{DisableKernel: true}, "stt"); err != nil {
 		return err
 	}
-	mk, err := core.Compile(pats, core.Options{
-		CaseFold: true,
-		Engine:   core.EngineOptions{Filter: core.FilterOff, Stride: 1},
-	})
-	if err != nil {
+	parallel4 := func(interleaveK int) (float64, error) {
+		mk, err := core.Compile(pats, core.Options{
+			CaseFold: true,
+			Engine:   core.EngineOptions{Filter: core.FilterOff, Stride: 1, InterleaveK: interleaveK},
+		})
+		if err != nil {
+			return 0, err
+		}
+		return measureMBps(inputBytes, func() error {
+			_, err := mk.FindAllParallel(data, core.ParallelOptions{Workers: 4, ChunkBytes: 64 << 10})
+			return err
+		})
+	}
+	if res.Parallel4, err = parallel4(0); err != nil {
 		return err
 	}
-	res.Parallel4, err = measureMBps(inputBytes, func() error {
-		_, err := mk.FindAllParallel(data, core.ParallelOptions{Workers: 4})
-		return err
-	})
-	if err != nil {
+	if res.Parallel4Serial, err = parallel4(1); err != nil {
 		return err
 	}
 	if res.STTLookupSeq > 0 {
@@ -255,7 +266,8 @@ func runKernelBench(w io.Writer, d *dfa.DFA, inputBytes int, jsonPath string) er
 	t.Row("log-scan stride-2 interleaved K=4", res.Stride2K4)
 	t.Row("compressed rows (over-dense-budget dictionary)", res.CompressedSeq)
 	t.Row("stt fallback on the same dictionary", res.STTCompressedDict)
-	t.Row("kernel + parallel 4 workers", res.Parallel4)
+	t.Row("kernel + parallel 4 workers (64 KiB chunks as 4 lanes)", res.Parallel4)
+	t.Row("kernel + parallel 4 workers (64 KiB chunks, InterleaveK 1)", res.Parallel4Serial)
 	if err := t.Write(w); err != nil {
 		return err
 	}

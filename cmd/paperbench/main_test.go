@@ -118,6 +118,7 @@ func TestRunKernelBenchJSON(t *testing.T) {
 		"compressed_seq": res.CompressedSeq,
 		"stt_compressed": res.STTCompressedDict,
 		"parallel_4":     res.Parallel4,
+		"parallel_4_ser": res.Parallel4Serial,
 		"speedup":        res.SpeedupVsLookup,
 		"speedup_s2":     res.SpeedupStride2,
 		"speedup_comp":   res.SpeedupCompressed,
@@ -128,6 +129,9 @@ func TestRunKernelBenchJSON(t *testing.T) {
 	}
 	if res.CompressedDictStates < 20000 {
 		t.Fatalf("compressed section dictionary too small to overflow the dense budget: %+v", res)
+	}
+	if !gatedMetric("parallel_4workers_kernel_serial_MBps") {
+		t.Fatal("pooled InterleaveK 1 row not gated by -checkbench")
 	}
 	if !gatedMetric("compressed_MBps") || !gatedMetric("speedup_compressed_vs_stt") {
 		t.Fatal("compressed rows not gated by -checkbench")

@@ -73,14 +73,18 @@ func FuzzMatcherScan(f *testing.F) {
 // FuzzParallelEquivalence: the chunked speculative engine must agree
 // byte-for-byte with the sequential scan for arbitrary dictionaries,
 // worker counts, and chunk sizes — including chunks smaller than the
-// longest pattern — via both FindAllParallel and ScanReader.
+// longest pattern — via both FindAllParallel and ScanReader. Inputs up
+// to 16 KiB and chunks up to 8 KiB reach the 4-lane chunk loop, which
+// the 1-byte kernel runs on pieces of 2 KiB and more; the stride-1
+// opt-out takes it there on stride-2 matchers too.
 func FuzzParallelEquivalence(f *testing.F) {
 	f.Add([]byte("abra"), []byte("abracadabra"), []byte("abracadabra abracadabra"), uint8(4), uint16(3))
 	f.Add([]byte("aa"), []byte("aaa"), []byte("aaaaaaaaaaaaaaaa"), uint8(2), uint16(1))
 	f.Add([]byte{0xFF, 0x00}, []byte{0x01}, bytes.Repeat([]byte{0xFF, 0x00, 0x01}, 40), uint8(7), uint16(64))
 	f.Add([]byte("virus"), []byte("rus"), []byte("a virus in a worm"), uint8(1), uint16(1024))
+	f.Add([]byte("virus"), []byte("us a w"), bytes.Repeat([]byte("a virus in a worm "), 600), uint8(2), uint16(5000))
 	f.Fuzz(func(t *testing.T, p1, p2, data []byte, workers uint8, chunk uint16) {
-		if len(p1) == 0 || len(p2) == 0 || len(p1) > 32 || len(p2) > 32 || len(data) > 4096 {
+		if len(p1) == 0 || len(p2) == 0 || len(p1) > 32 || len(p2) > 32 || len(data) > 16<<10 {
 			return
 		}
 		m, err := core.Compile([][]byte{p1, p2}, core.Options{})
@@ -93,22 +97,26 @@ func FuzzParallelEquivalence(f *testing.F) {
 		}
 		opts := core.ParallelOptions{
 			Workers:    int(workers)%8 + 1,
-			ChunkBytes: int(chunk)%2048 + 1,
+			ChunkBytes: int(chunk)%(8<<10) + 1,
 		}
-		got, err := m.FindAllParallel(data, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("parallel %d matches, sequential %d (workers=%d chunk=%d)",
-				len(got), len(want), opts.Workers, opts.ChunkBytes)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("match %d: parallel %+v, sequential %+v (workers=%d chunk=%d)",
-					i, got[i], want[i], opts.Workers, opts.ChunkBytes)
+		for _, stride1 := range []bool{false, true} {
+			opts.DisableStride2 = stride1
+			got, err := m.FindAllParallel(data, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("parallel %d matches, sequential %d (workers=%d chunk=%d stride1=%v)",
+					len(got), len(want), opts.Workers, opts.ChunkBytes, stride1)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("match %d: parallel %+v, sequential %+v (workers=%d chunk=%d stride1=%v)",
+						i, got[i], want[i], opts.Workers, opts.ChunkBytes, stride1)
+				}
 			}
 		}
+		opts.DisableStride2 = false
 		streamed, err := m.ScanReader(bytes.NewReader(data), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -128,17 +136,21 @@ func FuzzParallelEquivalence(f *testing.F) {
 // FuzzKernelEquivalence: the dense compiled kernel must agree with the
 // stt/dfa fallback path AND with a naive baseline matcher for random
 // dictionaries, case folding on and off, and every interleave lane
-// count 1..8 — across FindAll, FindAllParallel, and ScanReader.
+// count 1..8 plus the automatic lane rule (k=0) — across FindAll,
+// FindAllParallel, and ScanReader. Inputs up to 16 KiB give the
+// automatic rule pieces past its 2 KiB cut, in FindAll and in the
+// len/3+1-byte pool chunks.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add([]byte("virus"), []byte("rus w"), []byte("a virus in a worm"), false, uint8(3))
 	f.Add([]byte("AbRa"), []byte("cadabra"), []byte("abracadabra ABRACADABRA"), true, uint8(7))
 	f.Add([]byte("aa"), []byte("aaa"), []byte("aaaaaaaaaaaaaaaa"), false, uint8(0))
 	f.Add([]byte{0xFF, 0x00}, []byte{0x01}, bytes.Repeat([]byte{0xFF, 0x00, 0x01}, 40), false, uint8(5))
+	f.Add([]byte("Virus"), []byte("us a W"), bytes.Repeat([]byte("a virus in a worm "), 600), true, uint8(9))
 	f.Fuzz(func(t *testing.T, p1, p2, data []byte, fold bool, rawK uint8) {
-		if len(p1) == 0 || len(p2) == 0 || len(p1) > 32 || len(p2) > 32 || len(data) > 4096 {
+		if len(p1) == 0 || len(p2) == 0 || len(p1) > 32 || len(p2) > 32 || len(data) > 16<<10 {
 			return
 		}
-		k := int(rawK)%8 + 1
+		k := int(rawK) % 9
 		dict := [][]byte{p1, p2}
 		kernelM, err := core.Compile(dict, core.Options{
 			CaseFold: fold,

@@ -88,6 +88,8 @@ type Options struct {
 // by a K-way interleaved loop — the host-CPU analog of the paper's SPE
 // local-store tile fed by multiple buffered streams (Figure 6a), where
 // K independent cursors hide the latency of the dependent table loads.
+// On the 1-byte kernel every piece of 2 KiB or more, each pooled
+// parallel chunk included, scans as 4 such lanes (see InterleaveK).
 //
 // Fallback rules: when the aggregate dense-table size (states × row
 // width × 4 bytes, summed over series slots) exceeds MaxTableBytes, or
@@ -100,10 +102,14 @@ type EngineOptions struct {
 	// MaxTableBytes is the dense-table budget. <=0 means the kernel
 	// default (8 MiB).
 	MaxTableBytes int
-	// InterleaveK fixes the interleaved scan's lane count: 1 forces the
-	// single-stream loop, 2..8 force K lanes (each lane scans one chunk
-	// of the input, split with MaxPatternLen-1 overlap like the paper's
-	// SPE input portions), 0 picks automatically by input size.
+	// InterleaveK fixes the kernel's lane count (each lane scans one
+	// piece of the input, split with MaxPatternLen-1 overlap like the
+	// paper's SPE input portions) on every path: FindAll, Count, and
+	// each chunk of FindAllParallel, the pool and ScanReader. 1 pins the
+	// single-stream loop everywhere, 2..8 force K lanes, 0 picks by
+	// piece length: 4 lanes from 2 KiB up, the serial loop below (the
+	// stride-2 pair loops stay serial unless pinned, the compressed
+	// tier's chunk scans always do).
 	InterleaveK int
 	// MaxShards caps how many sub-dictionary kernels the sharded tier
 	// may compile when the single dense table exceeds MaxTableBytes:
@@ -262,6 +268,13 @@ type Matcher struct {
 	// computation.
 	setFPOnce sync.Once
 	setFP     [32]byte
+
+	// sttBytes caches Stats().STTBytes, the slots' encoded stt size:
+	// encoding every slot is the expensive part of Stats, and /stats
+	// calls it per request. Computed on first use, not at compile, so
+	// compile latency does not carry it.
+	sttOnce  sync.Once
+	sttBytes int
 }
 
 // Options returns the options the matcher was compiled with — what a
@@ -320,6 +333,7 @@ func (m *Matcher) initEngine() error {
 		MaxTableBytes: m.opts.Engine.MaxTableBytes,
 		MaxShards:     m.opts.Engine.MaxShards,
 		Workers:       m.opts.CompileWorkers,
+		InterleaveK:   m.opts.Engine.InterleaveK,
 	})
 	if err == nil {
 		m.sharded = sh
@@ -773,11 +787,14 @@ func (m *Matcher) Stats() Stats {
 		MaxPatternLen: m.sys.MaxPatternLen,
 		Regex:         m.regex,
 	}
-	for _, d := range m.sys.Slots {
-		if t, err := stt.Encode(d, m.sys.Width, 0); err == nil {
-			s.STTBytes += t.SizeBytes()
+	m.sttOnce.Do(func() {
+		for _, d := range m.sys.Slots {
+			if t, err := stt.Encode(d, m.sys.Width, 0); err == nil {
+				m.sttBytes += t.SizeBytes()
+			}
 		}
-	}
+	})
+	s.STTBytes = m.sttBytes
 	s.DenseTableBudget = kernel.ResolveMaxTableBytes(m.opts.Engine.MaxTableBytes)
 	s.MinPatternLen = m.minLen
 	s.WindowsSkipped = m.windowsSkipped.Load()
@@ -820,13 +837,12 @@ func (m *Matcher) Stats() Stats {
 }
 
 // FilterActive reports whether the skip-scan front-end is live — the
-// cheap per-request form for serving paths (Stats re-encodes tables).
+// cheap per-request form for serving paths.
 func (m *Matcher) FilterActive() bool { return m.filter != nil }
 
 // EngineName reports the live scan engine ("stride2", "kernel",
-// "compressed", "sharded", or "stt") without computing full Stats
-// (which re-encodes the STT tables) — the cheap per-request form for
-// serving paths.
+// "compressed", "sharded", or "stt") without computing full Stats —
+// the cheap per-request form for serving paths.
 func (m *Matcher) EngineName() string {
 	switch {
 	case m.eng != nil:

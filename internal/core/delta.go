@@ -170,6 +170,7 @@ func (m *Matcher) initEngineDelta(prev *Matcher, reused []bool, ds *DeltaStats) 
 		MaxTableBytes: m.opts.Engine.MaxTableBytes,
 		MaxShards:     m.opts.Engine.MaxShards,
 		Workers:       m.opts.CompileWorkers,
+		InterleaveK:   m.opts.Engine.InterleaveK,
 	}, prev.sharded, prev.patterns)
 	if err == nil {
 		m.sharded = sh

@@ -219,3 +219,23 @@ func TestPersistRebuildsEngine(t *testing.T) {
 		t.Fatalf("engine options dropped by Save/Load: %+v", st)
 	}
 }
+
+// Stats memoizes the encoded stt size on first use: repeated calls
+// agree, and a call after the first encodes nothing (allocates
+// nothing), so a /stats poll costs no table encodes.
+func TestStatsMemoizesSTTBytes(t *testing.T) {
+	m, err := CompileStrings([]string{"virus", "worm", "trojan horse"}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := m.Stats()
+	if first.STTBytes <= 0 {
+		t.Fatalf("STTBytes %d, want > 0", first.STTBytes)
+	}
+	if again := m.Stats(); again != first {
+		t.Fatalf("repeated Stats differ: %+v vs %+v", again, first)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { m.Stats() }); allocs != 0 {
+		t.Fatalf("Stats after the first call allocated %.0f times: it re-encodes", allocs)
+	}
+}

@@ -837,20 +837,7 @@ func (e *Compressed) TableBytes() int {
 
 // InterleaveFor reports the lane count FindAll would use on an input
 // of n bytes (diagnostics and benchmarks).
-func (e *Compressed) InterleaveFor(n int) int { return e.chooseK(n) }
-
-func (e *Compressed) chooseK(n int) int {
-	if k := e.opts.InterleaveK; k >= 1 {
-		if k > MaxInterleave {
-			return MaxInterleave
-		}
-		return k
-	}
-	if n < autoInterleaveMin {
-		return 1
-	}
-	return autoInterleaveK
-}
+func (e *Compressed) InterleaveFor(n int) int { return chooseK(e.opts.InterleaveK, n, e.overlap()) }
 
 func (e *Compressed) overlap() int {
 	if e.MaxPatternLen > 0 {
@@ -879,7 +866,7 @@ func (e *Compressed) laneChunks(data []byte, k int) []interleave.Chunk {
 // global pattern ids, sorted by (End, Pattern) — byte-for-byte the
 // output of compose.System.Scan and of the dense engine.
 func (e *Compressed) FindAll(data []byte) []dfa.Match {
-	return e.FindAllK(data, e.chooseK(len(data)))
+	return e.FindAllK(data, e.InterleaveFor(len(data)))
 }
 
 // FindAllK is FindAll with an explicit lane count (1 = single-stream
@@ -903,7 +890,7 @@ func (e *Compressed) FindAllK(data []byte, k int) []dfa.Match {
 // sink, no allocation and no sort.
 func (e *Compressed) Count(data []byte) int {
 	total := 0
-	chunks := e.laneChunks(data, e.chooseK(len(data)))
+	chunks := e.laneChunks(data, e.InterleaveFor(len(data)))
 	for _, t := range e.Tables {
 		if chunks == nil {
 			total += t.countSerial(data, 0)

@@ -255,24 +255,24 @@ func TestCompressedInterleaveFor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := auto.InterleaveFor(autoInterleaveMin - 1); got != 1 {
+	if got := auto.InterleaveFor(laneMinBytes - 1); got != 1 {
 		t.Fatalf("auto small input: k=%d want 1", got)
 	}
-	if got := auto.InterleaveFor(autoInterleaveMin); got != autoInterleaveK {
-		t.Fatalf("auto large input: k=%d want %d", got, autoInterleaveK)
+	if got := auto.InterleaveFor(laneMinBytes); got != laneK {
+		t.Fatalf("auto large input: k=%d want %d", got, laneK)
 	}
 	pinned, err := CompileCompressed(sys, Options{InterleaveK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pinned.InterleaveFor(autoInterleaveMin * 2); got != 3 {
+	if got := pinned.InterleaveFor(laneMinBytes * 2); got != 3 {
 		t.Fatalf("pinned k=%d want 3", got)
 	}
 	clamped, err := CompileCompressed(sys, Options{InterleaveK: MaxInterleave + 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := clamped.InterleaveFor(autoInterleaveMin * 2); got != MaxInterleave {
+	if got := clamped.InterleaveFor(laneMinBytes * 2); got != MaxInterleave {
 		t.Fatalf("clamped k=%d want %d", got, MaxInterleave)
 	}
 }

@@ -14,18 +14,28 @@
 //     analog of the paper's pointer-encoded STT tile: one transition is
 //     one indexed load, one AND, one ADD, with no multiply and no
 //     per-byte output-set probe;
-//   - two scan loops: a single-stream unrolled loop, and a K-way
-//     interleaved loop that advances K independent chunks of the input
-//     per iteration — the host equivalent of the paper's Figure 6a
+//   - two scan loops: a single-stream unrolled loop, and a lane loop
+//     that splits a piece into K overlapping lanes and advances all of
+//     them per iteration — the host equivalent of the paper's Figure 6a
 //     multi-buffered streams — so K dependent table loads are in
 //     flight at once and the L1/L2 hit latency of the resident table
 //     is hidden behind instruction-level parallelism.
 //
-// Chunk boundaries in the interleaved loop reuse
-// interleave.SplitWithOverlap: each lane re-scans an overlap window of
-// MaxPatternLen-1 bytes from the root and drops matches ending inside
-// it, so the output is byte-for-byte identical to the sequential scan
-// (same guarantee, and the same mechanism, as internal/parallel).
+// Every 1-byte entry point — FindAll, Count, and ScanChunk, which
+// scans each pooled chunk of internal/parallel — picks its loop by one
+// rule on the piece length (chooseK): pieces of at least laneMinBytes
+// (2 KiB, and 16 overlaps) scan as 4 lanes in a hand-unrolled loop
+// (scan4), shorter ones on the serial loop. Options.InterleaveK 1 pins
+// the serial loop everywhere; 2..MaxInterleave pin that many lanes,
+// run by a generic lockstep loop unless the count is 4. The compressed
+// tier's FindAll and Count share the rule (its ScanChunk stays
+// serial); the stride-2 pair loops stay serial unless pinned.
+//
+// Lane boundaries reuse interleave.SplitWithOverlap: each lane re-scans
+// an overlap window of MaxPatternLen-1 bytes from the root and drops
+// matches ending inside it — or at or below the caller's dedupe
+// offset — so the output is byte-for-byte identical to the sequential
+// scan (same guarantee, and the same mechanism, as internal/parallel).
 //
 // Dictionaries whose dense tables exceed the configured budget (dense
 // rows cost width × 4 bytes per state) are rejected by Compile with
@@ -66,12 +76,17 @@ const (
 	// loop's register pressure outweighs the latency hiding.
 	MaxInterleave = 8
 
-	// autoInterleaveMin is the input size at which the auto heuristic
-	// switches from the single-stream loop to K-way interleaving.
-	autoInterleaveMin = 256 << 10
+	// laneK is the lane count chooseK picks, the width of the
+	// hand-unrolled multi-stream loop (scan4).
+	laneK = 4
 
-	// autoInterleaveK is the lane count the auto heuristic picks.
-	autoInterleaveK = 4
+	// laneMinBytes is the piece length from which chooseK scans as laneK
+	// lanes, picked from a piece-size sweep (64 B to 256 KiB, 1499- and
+	// 31226-state dictionaries, 2-vCPU Xeon): the unrolled dense loop
+	// beat the serial loop from 256 B (1.8-2.4x at 512 B), the generic
+	// compressed loop lost at 512 B and won by 1.2-1.3x from 1 KiB. The
+	// cut sits one doubling above that, where both win clearly.
+	laneMinBytes = 2 << 10
 )
 
 // ErrBudget is returned by Compile when the dictionary's dense tables
@@ -84,9 +99,11 @@ type Options struct {
 	// slots. <=0 means DefaultMaxTableBytes. With the stride-2 rung
 	// live the budget covers the dense AND pair tables together.
 	MaxTableBytes int
-	// InterleaveK forces the lane count of the interleaved scan loop:
-	// 1 forces the single-stream loop, 2..MaxInterleave force K lanes,
-	// 0 picks automatically by input size.
+	// InterleaveK forces the lane count of the 1-byte scan loops at
+	// every entry point, ScanChunk (pooled chunks) included: 1 pins the
+	// single-stream loop, 2..MaxInterleave force K lanes, 0 applies the
+	// piece-length rule (4 lanes from 2 KiB, see chooseK). The stride-2
+	// pair loops run serially unless this pins a lane count.
 	InterleaveK int
 	// Stride selects the symbols consumed per table transition.
 	// 0 (auto) compiles the stride-2 pair tables when every slot stays
@@ -276,55 +293,74 @@ func (t *Table) SizeBytes() int { return t.States * t.Width * 4 }
 // value for ScanCarry.
 func (t *Table) StartRow() uint32 { return t.start }
 
-// emit appends the output set of the state entry e transitioned into,
-// unless the match ends inside the chunk's dedupe window.
-func (t *Table) emit(e uint32, localEnd, base, dedupe int, sink *[]dfa.Match) {
+// emit keeps the output set of the state entry e transitioned into,
+// unless the match ends inside the chunk's dedupe window: the matches
+// are appended to sink with End = base + localEnd, or only counted
+// when sink is nil. It returns how many it kept.
+func (t *Table) emit(e uint32, localEnd, base, dedupe int, sink *[]dfa.Match) int {
 	if localEnd <= dedupe {
-		return
+		return 0
 	}
-	for _, pid := range t.Outs[e>>t.shift] {
-		*sink = append(*sink, dfa.Match{Pattern: pid, End: base + localEnd})
+	outs := t.Outs[e>>t.shift]
+	if sink != nil {
+		for _, pid := range outs {
+			*sink = append(*sink, dfa.Match{Pattern: pid, End: base + localEnd})
+		}
 	}
+	return len(outs)
 }
 
 // scanSerial runs the single-stream unrolled loop over raw bytes,
-// appending matches with End = base + local offset and dropping those
-// ending at local offsets <= dedupe (the overlap window).
-func (t *Table) scanSerial(piece []byte, base, dedupe int, sink *[]dfa.Match) {
+// keeping matches (see emit) with End = base + local offset and
+// dropping those ending at local offsets <= dedupe (the overlap
+// window). It returns the kept count.
+func (t *Table) scanSerial(piece []byte, base, dedupe int, sink *[]dfa.Match) int {
 	entries := t.Entries
 	cls := &t.ByteClass
 	cur := t.start
+	kept := 0
 	n := len(piece)
 	i := 0
 	for ; i+4 <= n; i += 4 {
 		e := entries[cur+uint32(cls[piece[i]])]
 		if e&FlagOut != 0 {
-			t.emit(e, i+1, base, dedupe, sink)
+			kept += t.emit(e, i+1, base, dedupe, sink)
 		}
 		cur = e & rowMask
 		e = entries[cur+uint32(cls[piece[i+1]])]
 		if e&FlagOut != 0 {
-			t.emit(e, i+2, base, dedupe, sink)
+			kept += t.emit(e, i+2, base, dedupe, sink)
 		}
 		cur = e & rowMask
 		e = entries[cur+uint32(cls[piece[i+2]])]
 		if e&FlagOut != 0 {
-			t.emit(e, i+3, base, dedupe, sink)
+			kept += t.emit(e, i+3, base, dedupe, sink)
 		}
 		cur = e & rowMask
 		e = entries[cur+uint32(cls[piece[i+3]])]
 		if e&FlagOut != 0 {
-			t.emit(e, i+4, base, dedupe, sink)
+			kept += t.emit(e, i+4, base, dedupe, sink)
 		}
 		cur = e & rowMask
 	}
-	for ; i < n; i++ {
-		e := entries[cur+uint32(cls[piece[i]])]
+	return kept + t.scanFrom(piece, i, cur, base, dedupe, sink)
+}
+
+// scanFrom continues a scan of piece at offset p from row cur to the
+// end of piece, one byte per step: the tail of the serial loop and of
+// every lane.
+func (t *Table) scanFrom(piece []byte, p int, cur uint32, base, dedupe int, sink *[]dfa.Match) int {
+	entries := t.Entries
+	cls := &t.ByteClass
+	kept := 0
+	for ; p < len(piece); p++ {
+		e := entries[cur+uint32(cls[piece[p]])]
 		if e&FlagOut != 0 {
-			t.emit(e, i+1, base, dedupe, sink)
+			kept += t.emit(e, p+1, base, dedupe, sink)
 		}
 		cur = e & rowMask
 	}
+	return kept
 }
 
 // ScanCarry scans piece from the encoded row cur (stream continuation:
@@ -383,13 +419,77 @@ func (t *Table) emitCarry(e uint32, end int, emit func(pid int32, end int)) {
 	}
 }
 
-// scanInterleaved advances every chunk's cursor once per lockstep
-// iteration — K independent dependency chains, so K table loads are in
-// flight per iteration — then drains the uneven tails serially. Each
-// lane starts from the root and its overlap prefix is deduped, exactly
-// like a parallel worker, so the union of lane matches equals the
-// sequential scan's.
-func (t *Table) scanInterleaved(data []byte, chunks []interleave.Chunk, sink *[]dfa.Match) {
+// scanLanes scans piece as the lanes chunks splits it into, each from
+// the root — the host form of the paper's Figure 6a multi-buffered
+// streams: the lanes' dependent table loads are independent chains,
+// so they are in flight together instead of stalling one after
+// another. Lane l drops a match ending at lane offset
+// <= max(Overlap, dedupe-Start): inside its overlap prefix the match
+// belongs to lane l-1, and below dedupe the caller discards it anyway.
+// Kept matches and the return value follow scanSerial, so the union
+// over the lanes equals scanSerial(piece, base, dedupe).
+func (t *Table) scanLanes(piece []byte, chunks []interleave.Chunk, base, dedupe int, sink *[]dfa.Match) int {
+	if len(chunks) == laneK {
+		return t.scan4(piece, chunks, base, dedupe, sink)
+	}
+	return t.scanK(piece, chunks, base, dedupe, sink)
+}
+
+// laneCut is lane c's (base, dedupe) pair for scanLanes.
+func laneCut(c interleave.Chunk, base, dedupe int) (int, int) {
+	return base + c.Start, max(c.Overlap, dedupe-c.Start)
+}
+
+// scan4 is scanLanes hand-unrolled for laneK = 4 lanes, the lane count
+// chooseK picks: lane cursors live in locals, each lane's bytes are
+// sliced once, and the hot path carries one flag test for all four
+// entries. The lanes advance in lockstep over the shortest lane's
+// length, then each drains its tail serially.
+func (t *Table) scan4(piece []byte, chunks []interleave.Chunk, base, dedupe int, sink *[]dfa.Match) int {
+	l0 := piece[chunks[0].Start:chunks[0].End]
+	l1 := piece[chunks[1].Start:chunks[1].End]
+	l2 := piece[chunks[2].Start:chunks[2].End]
+	l3 := piece[chunks[3].Start:chunks[3].End]
+	b0, d0 := laneCut(chunks[0], base, dedupe)
+	b1, d1 := laneCut(chunks[1], base, dedupe)
+	b2, d2 := laneCut(chunks[2], base, dedupe)
+	b3, d3 := laneCut(chunks[3], base, dedupe)
+	n := min(len(l0), len(l1), len(l2), len(l3))
+	x0, x1, x2, x3 := l0[:n], l1[:n], l2[:n], l3[:n]
+	entries := t.Entries
+	cls := &t.ByteClass
+	s0, s1, s2, s3 := t.start, t.start, t.start, t.start
+	kept := 0
+	for p := range x0 {
+		e0 := entries[s0+uint32(cls[x0[p]])]
+		e1 := entries[s1+uint32(cls[x1[p]])]
+		e2 := entries[s2+uint32(cls[x2[p]])]
+		e3 := entries[s3+uint32(cls[x3[p]])]
+		if (e0|e1|e2|e3)&FlagOut != 0 {
+			if e0&FlagOut != 0 {
+				kept += t.emit(e0, p+1, b0, d0, sink)
+			}
+			if e1&FlagOut != 0 {
+				kept += t.emit(e1, p+1, b1, d1, sink)
+			}
+			if e2&FlagOut != 0 {
+				kept += t.emit(e2, p+1, b2, d2, sink)
+			}
+			if e3&FlagOut != 0 {
+				kept += t.emit(e3, p+1, b3, d3, sink)
+			}
+		}
+		s0, s1, s2, s3 = e0&rowMask, e1&rowMask, e2&rowMask, e3&rowMask
+	}
+	kept += t.scanFrom(l0, n, s0, b0, d0, sink)
+	kept += t.scanFrom(l1, n, s1, b1, d1, sink)
+	kept += t.scanFrom(l2, n, s2, b2, d2, sink)
+	return kept + t.scanFrom(l3, n, s3, b3, d3, sink)
+}
+
+// scanK is scanLanes for any other pinned lane count
+// (Options.InterleaveK 2..MaxInterleave): the generic lockstep loop.
+func (t *Table) scanK(piece []byte, chunks []interleave.Chunk, base, dedupe int, sink *[]dfa.Match) int {
 	k := len(chunks)
 	if k > MaxInterleave {
 		// Dropping chunks would silently lose matches; callers
@@ -397,36 +497,29 @@ func (t *Table) scanInterleaved(data []byte, chunks []interleave.Chunk, sink *[]
 		panic("kernel: more chunks than interleave lanes")
 	}
 	var cur [MaxInterleave]uint32
-	minLen := -1
-	for l := 0; l < k; l++ {
+	var lb, ld [MaxInterleave]int
+	minLen := len(piece)
+	for l, c := range chunks {
 		cur[l] = t.start
-		if n := chunks[l].Len(); minLen < 0 || n < minLen {
-			minLen = n
-		}
+		lb[l], ld[l] = laneCut(c, base, dedupe)
+		minLen = min(minLen, c.Len())
 	}
 	entries := t.Entries
 	cls := &t.ByteClass
+	kept := 0
 	for p := 0; p < minLen; p++ {
 		for l := 0; l < k; l++ {
-			c := chunks[l]
-			e := entries[cur[l]+uint32(cls[data[c.Start+p]])]
+			e := entries[cur[l]+uint32(cls[piece[chunks[l].Start+p]])]
 			if e&FlagOut != 0 {
-				t.emit(e, p+1, c.Start, c.Overlap, sink)
+				kept += t.emit(e, p+1, lb[l], ld[l], sink)
 			}
 			cur[l] = e & rowMask
 		}
 	}
-	// Uneven tails (the last chunk is usually shorter).
-	for l := 0; l < k; l++ {
-		c := chunks[l]
-		for p := minLen; p < c.Len(); p++ {
-			e := entries[cur[l]+uint32(cls[data[c.Start+p]])]
-			if e&FlagOut != 0 {
-				t.emit(e, p+1, c.Start, c.Overlap, sink)
-			}
-			cur[l] = e & rowMask
-		}
+	for l, c := range chunks {
+		kept += t.scanFrom(piece[c.Start:c.End], minLen, cur[l], lb[l], ld[l], sink)
 	}
+	return kept
 }
 
 // Engine is a compiled matcher: one dense table per series slot plus
@@ -579,18 +672,33 @@ func (e *Engine) TableBytes() int {
 	return total
 }
 
-// InterleaveFor reports the lane count FindAll would use on an input
-// of n bytes (diagnostics and benchmarks).
-func (e *Engine) InterleaveFor(n int) int { return e.chooseK(n) }
+// InterleaveFor reports the lane count the 1-byte loops use on an
+// input or piece of n bytes — FindAll, Count and ScanChunk at stride 1,
+// FindAllStride1 and ScanChunkStride1 on the stride-2 rung
+// (diagnostics and benchmarks).
+func (e *Engine) InterleaveFor(n int) int { return chooseK(e.opts.InterleaveK, n, e.overlap()) }
 
-func (e *Engine) chooseK(n int) int {
-	if k := e.opts.InterleaveK; k >= 1 {
-		return k
+// pairK is the lane count of the stride-2 pair loops: serial unless
+// pinned. Their generic K-way form measured no faster than the serial
+// pair loop on the log-scan dictionary at any input length from 512 B
+// to 2 MiB, so the lane rule does not apply to them.
+func (e *Engine) pairK() int { return max(e.opts.InterleaveK, 1) }
+
+// chooseK is the one lane-count rule of the 1-byte loops, dense and
+// compressed, at every entry point — pooled chunks included. A pinned
+// lane count wins at any length (1 = the serial loop). Otherwise a
+// piece scans as laneK lanes once it is at least laneMinBytes long and
+// at least laneK*laneK times the overlap, so the three overlap
+// re-scans add under a fifth to the work; shorter pieces take the
+// serial loop.
+func chooseK(pinned, n, overlap int) int {
+	if pinned >= 1 {
+		return min(pinned, MaxInterleave)
 	}
-	if n < autoInterleaveMin {
+	if n < laneMinBytes || n < laneK*laneK*overlap {
 		return 1
 	}
-	return autoInterleaveK
+	return laneK
 }
 
 func (e *Engine) overlap() int {
@@ -604,40 +712,57 @@ func (e *Engine) overlap() int {
 // global pattern ids, sorted by (End, Pattern) — byte-for-byte the
 // output of compose.System.Scan.
 func (e *Engine) FindAll(data []byte) []dfa.Match {
-	return e.FindAllK(data, e.chooseK(len(data)))
+	if e.stride == 2 {
+		return e.FindAllK(data, e.pairK())
+	}
+	return e.FindAllK(data, e.InterleaveFor(len(data)))
 }
 
 // FindAllK is FindAll with an explicit lane count (1 = single-stream
 // loop). Any k >= 1 yields identical matches.
 func (e *Engine) FindAllK(data []byte, k int) []dfa.Match {
-	return e.findAllK(data, k, false)
+	var out []dfa.Match
+	if e.stride == 2 {
+		chunks := e.laneChunks(data, k)
+		for _, t := range e.Tables {
+			if chunks == nil {
+				t.scanSerial2(data, 0, 0, &out)
+			} else {
+				t.scanInterleaved2(data, chunks, &out)
+			}
+		}
+	} else {
+		e.scan1(data, 0, 0, k, &out)
+	}
+	dfa.SortMatches(out)
+	return out
 }
 
 // FindAllStride1 is FindAll forced onto the 1-byte loops even when the
 // stride-2 pair tables are live — the per-request stride=1 opt-out the
 // serving layer exposes. Output is byte-identical to FindAll.
 func (e *Engine) FindAllStride1(data []byte) []dfa.Match {
-	return e.findAllK(data, e.chooseK(len(data)), true)
-}
-
-func (e *Engine) findAllK(data []byte, k int, force1 bool) []dfa.Match {
 	var out []dfa.Match
-	chunks := e.laneChunks(data, k)
-	for _, t := range e.Tables {
-		stride2 := t.Pair != nil && !force1
-		switch {
-		case chunks == nil && stride2:
-			t.scanSerial2(data, 0, 0, &out)
-		case chunks == nil:
-			t.scanSerial(data, 0, 0, &out)
-		case stride2:
-			t.scanInterleaved2(data, chunks, &out)
-		default:
-			t.scanInterleaved(data, chunks, &out)
-		}
-	}
+	e.scan1(data, 0, 0, e.InterleaveFor(len(data)), &out)
 	dfa.SortMatches(out)
 	return out
+}
+
+// scan1 runs every table's 1-byte loop over piece from the root as k
+// lanes (serially when k is 1 or piece is empty), keeping matches as
+// scanSerial does, and returns the kept count. It is the one loop
+// behind FindAll, Count and ScanChunk at stride 1.
+func (e *Engine) scan1(piece []byte, base, dedupe, k int, sink *[]dfa.Match) int {
+	chunks := e.laneChunks(piece, k)
+	kept := 0
+	for _, t := range e.Tables {
+		if chunks == nil {
+			kept += t.scanSerial(piece, base, dedupe, sink)
+		} else {
+			kept += t.scanLanes(piece, chunks, base, dedupe, sink)
+		}
+	}
+	return kept
 }
 
 // laneChunks returns the interleave split for a k-lane scan, or nil
@@ -646,10 +771,7 @@ func (e *Engine) laneChunks(data []byte, k int) []interleave.Chunk {
 	if k <= 1 || len(data) == 0 {
 		return nil
 	}
-	if k > MaxInterleave {
-		k = MaxInterleave
-	}
-	chunks, err := interleave.SplitWithOverlap(len(data), k, e.overlap())
+	chunks, err := interleave.SplitWithOverlap(len(data), min(k, MaxInterleave), e.overlap())
 	if err != nil { // unreachable for k >= 1, n >= 0
 		return nil
 	}
@@ -660,93 +782,34 @@ func (e *Engine) laneChunks(data []byte, k int) []interleave.Chunk {
 // match list — the packet-discard path: same loops, a counter instead
 // of a sink, no allocation and no sort.
 func (e *Engine) Count(data []byte) int {
+	if e.stride != 2 {
+		return e.scan1(data, 0, 0, e.InterleaveFor(len(data)), nil)
+	}
 	total := 0
-	chunks := e.laneChunks(data, e.chooseK(len(data)))
+	chunks := e.laneChunks(data, e.pairK())
 	for _, t := range e.Tables {
-		switch {
-		case chunks == nil && t.Pair != nil:
+		if chunks == nil {
 			total += t.countSerial2(data, 0)
-		case chunks == nil:
-			total += t.countSerial(data, 0)
-		case t.Pair != nil:
+		} else {
 			total += t.countInterleaved2(data, chunks)
-		default:
-			total += t.countInterleaved(data, chunks)
 		}
 	}
 	return total
 }
 
-// countSerial counts hits in piece from the root, ignoring matches
-// that end inside the dedupe-byte overlap prefix.
-func (t *Table) countSerial(piece []byte, dedupe int) int {
-	entries := t.Entries
-	cls := &t.ByteClass
-	cur := t.start
-	count := 0
-	for i := 0; i < len(piece); i++ {
-		e := entries[cur+uint32(cls[piece[i]])]
-		if e&FlagOut != 0 && i >= dedupe {
-			count += len(t.Outs[e>>t.shift])
-		}
-		cur = e & rowMask
-	}
-	return count
-}
-
-// countInterleaved is scanInterleaved with a counter instead of a
-// sink: lockstep over the lanes, then serial tails.
-func (t *Table) countInterleaved(data []byte, chunks []interleave.Chunk) int {
-	k := len(chunks)
-	if k > MaxInterleave {
-		panic("kernel: more chunks than interleave lanes")
-	}
-	var cur [MaxInterleave]uint32
-	minLen := -1
-	for l := 0; l < k; l++ {
-		cur[l] = t.start
-		if n := chunks[l].Len(); minLen < 0 || n < minLen {
-			minLen = n
-		}
-	}
-	entries := t.Entries
-	cls := &t.ByteClass
-	count := 0
-	for p := 0; p < minLen; p++ {
-		for l := 0; l < k; l++ {
-			c := chunks[l]
-			e := entries[cur[l]+uint32(cls[data[c.Start+p]])]
-			if e&FlagOut != 0 && p >= c.Overlap {
-				count += len(t.Outs[e>>t.shift])
-			}
-			cur[l] = e & rowMask
-		}
-	}
-	for l := 0; l < k; l++ {
-		c := chunks[l]
-		for p := minLen; p < c.Len(); p++ {
-			e := entries[cur[l]+uint32(cls[data[c.Start+p]])]
-			if e&FlagOut != 0 && p >= c.Overlap {
-				count += len(t.Outs[e>>t.shift])
-			}
-			cur[l] = e & rowMask
-		}
-	}
-	return count
-}
-
 // ScanChunk scans one raw piece from the root for the parallel engine:
 // matches ending at local offsets <= dedupe are dropped (overlap
-// duplicates), the rest are shifted by base. Output order is per-table
-// scan order; the caller merges and sorts.
+// duplicates), the rest are shifted by base. At stride 1 the piece
+// scans as lanes under the chooseK rule, like FindAll; the stride-2
+// rung keeps its serial pair loop. Output order is unspecified; the
+// caller merges and sorts.
 func (e *Engine) ScanChunk(piece []byte, base, dedupe int) []dfa.Match {
+	if e.stride != 2 {
+		return e.ScanChunkStride1(piece, base, dedupe)
+	}
 	var out []dfa.Match
 	for _, t := range e.Tables {
-		if t.Pair != nil {
-			t.scanSerial2(piece, base, dedupe, &out)
-		} else {
-			t.scanSerial(piece, base, dedupe, &out)
-		}
+		t.scanSerial2(piece, base, dedupe, &out)
 	}
 	return out
 }
@@ -755,9 +818,7 @@ func (e *Engine) ScanChunk(piece []byte, base, dedupe int) []dfa.Match {
 // parallel-path form of the per-request stride=1 opt-out.
 func (e *Engine) ScanChunkStride1(piece []byte, base, dedupe int) []dfa.Match {
 	var out []dfa.Match
-	for _, t := range e.Tables {
-		t.scanSerial(piece, base, dedupe, &out)
-	}
+	e.scan1(piece, base, dedupe, e.InterleaveFor(len(piece)), &out)
 	return out
 }
 

@@ -293,6 +293,9 @@ type ShardConfig struct {
 	// concurrently, each internally parallel when shards are fewer than
 	// cores. Output is byte-identical at any worker count.
 	Workers int
+	// InterleaveK is the shards' Options.InterleaveK: the lane count of
+	// their chunk scans (ScanShardChunk), 0 for the chooseK rule.
+	InterleaveK int
 }
 
 // Sharded is a multi-kernel engine: one dense Engine per dictionary
@@ -390,7 +393,7 @@ func CompileShardedReusing(patterns [][]byte, cfg ShardConfig, prebuilt map[[fpS
 		// Shards pin stride 1: the sharded tier sits BELOW the stride-2
 		// rung on the selection ladder, and per-shard pair tables would
 		// burn the very budget that forced sharding in the first place.
-		eng, err := Compile(sys, Options{MaxTableBytes: budget, Stride: 1, Workers: inner})
+		eng, err := Compile(sys, Options{MaxTableBytes: budget, Stride: 1, Workers: inner, InterleaveK: cfg.InterleaveK})
 		if err != nil {
 			return fmt.Errorf("kernel: shard %d: %w", si, err)
 		}
