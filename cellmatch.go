@@ -44,13 +44,14 @@
 //
 // Performance estimation on simulated Cell hardware:
 //
-//	est, err := m.EstimateCell(cellmatch.DefaultBlade(), 1<<24)
+//	est, err := cellmatch.EstimateCell(m, cellmatch.DefaultBlade(), 1<<24)
 //	fmt.Printf("%.2f Gbps on %d SPEs\n", est.SimulatedGbps, est.TilesUsed)
 package cellmatch
 
 import (
 	"cellmatch/internal/cell"
 	"cellmatch/internal/core"
+	"cellmatch/internal/dfa"
 	"cellmatch/internal/parallel"
 	"cellmatch/internal/registry"
 	"cellmatch/internal/server"
@@ -274,6 +275,30 @@ func DefaultBlade() Blade { return cell.DefaultBlade() }
 
 // DualBlade is the paper's two-processor blade (16 SPEs).
 func DualBlade() Blade { return cell.DualBlade() }
+
+// EstimateCell plans m onto a blade and predicts filtering throughput
+// for the given traffic volume, with the kernel version m was compiled
+// for (Options.Version). The Cell model lives here, beside the paper's
+// other apparatus, so the matcher and the daemon do not link the
+// simulator.
+func EstimateCell(m *Matcher, blade Blade, inputBytes int64) (Estimate, error) {
+	d, err := cell.Plan(m.System(), blade, m.Options().Version)
+	if err != nil {
+		return Estimate{}, err
+	}
+	return d.Estimate(inputBytes), nil
+}
+
+// Table1 regenerates the paper's Table 1 on m's largest series slot.
+func Table1(m *Matcher) ([]Table1Row, error) {
+	var biggest *dfa.DFA
+	for _, d := range m.System().Slots {
+		if biggest == nil || d.NumStates() > biggest.NumStates() {
+			biggest = d
+		}
+	}
+	return tile.MeasureTable1(biggest, 16*1024, 1)
+}
 
 // MinimumSPEsFor returns the tile count needed to filter a link of
 // linkGbps at perTileGbps each (the paper: 2 SPEs for 10 Gbps).

@@ -26,6 +26,34 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
+func TestEstimateCellHeadline(t *testing.T) {
+	m, err := cellmatch.CompileStrings([]string{"attack", "exploit"}, cellmatch.Options{Groups: 2, CaseFold: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := cellmatch.EstimateCell(m, cellmatch.DefaultBlade(), 8*1024*1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.SimulatedGbps < 10 {
+		t.Fatalf("2-group estimate = %.2f Gbps, want >= 10 (paper headline)", est.SimulatedGbps)
+	}
+}
+
+func TestTable1ThroughFacade(t *testing.T) {
+	m, err := cellmatch.CompileStrings([]string{"signature"}, cellmatch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := cellmatch.Table1(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 5 || rows[3].Version != 4 {
+		t.Fatalf("table shape: %d rows", len(rows))
+	}
+}
+
 func TestPublicAPIStream(t *testing.T) {
 	m, err := cellmatch.CompileStrings([]string{"split"}, cellmatch.Options{})
 	if err != nil {

@@ -121,10 +121,11 @@ func main() {
 			s.Stride, s.PairTableBytes, s.CompressedTableBytes)
 	}
 	if *estimate {
-		est, err := m.EstimateCell(cell.DefaultBlade(), 16*1024*1024)
+		d, err := cell.Plan(m.System(), cell.DefaultBlade(), m.Options().Version)
 		if err != nil {
 			fail(err)
 		}
+		est := d.Estimate(16 * 1024 * 1024)
 		fmt.Printf("per_tile=%.2fGbps analytic=%.2fGbps simulated=%.2fGbps tiles=%d utilization=%.1f%%\n",
 			est.PerTileGbps, est.AnalyticGbps, est.SimulatedGbps, est.TilesUsed, est.Utilization*100)
 	}

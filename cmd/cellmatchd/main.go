@@ -236,7 +236,7 @@ func run(ctx context.Context, w io.Writer, args []string) error {
 		return err
 	}
 	fmt.Fprintf(w, "cellmatchd: listening on %s\n", ln.Addr())
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
@@ -251,6 +251,16 @@ func run(ctx context.Context, w io.Writer, args []string) error {
 	}
 	fmt.Fprintln(w, "cellmatchd: drained, bye")
 	return nil
+}
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers. Without it a client that never finishes them holds
+// its connection, and the goroutine serving it, forever.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer wraps the daemon's handler in the listener-side server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // buildRegistry wires the dictionary source from the flags: exactly

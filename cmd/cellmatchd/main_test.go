@@ -156,6 +156,15 @@ func TestDaemonWatchHotSwap(t *testing.T) {
 	}
 }
 
+// A client that never finishes its headers must not hold a connection
+// forever: the daemon's server bounds header reads at 10 s.
+func TestHTTPServerBoundsHeaderRead(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != 10*time.Second {
+		t.Fatalf("ReadHeaderTimeout = %v, want 10s", hs.ReadHeaderTimeout)
+	}
+}
+
 func TestDaemonFlagValidation(t *testing.T) {
 	ctx := context.Background()
 	var out syncBuffer

@@ -129,7 +129,7 @@ func run(w io.Writer) error {
 		stats["requests"], stats["bytes_scanned"], stats["matches_found"])
 
 	// Can this two-tile deployment filter a 10 Gbps link?
-	est, err := m.EstimateCell(cellmatch.DefaultBlade(), int64(len(traffic)))
+	est, err := cellmatch.EstimateCell(m, cellmatch.DefaultBlade(), int64(len(traffic)))
 	if err != nil {
 		return err
 	}

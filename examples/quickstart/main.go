@@ -61,7 +61,7 @@ func run(w io.Writer) error {
 		st.Patterns, st.States, st.STTBytes/1024, st.TilesRequired)
 
 	// 6. Ask the performance model what this costs on Cell hardware.
-	est, err := m.EstimateCell(cellmatch.DefaultBlade(), 1<<24)
+	est, err := cellmatch.EstimateCell(m, cellmatch.DefaultBlade(), 1<<24)
 	if err != nil {
 		return err
 	}

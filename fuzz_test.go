@@ -285,18 +285,18 @@ func FuzzStride2Equivalence(f *testing.F) {
 		}
 		// The per-request stride-1 opt-out scans the same matcher on its
 		// 1-byte loops.
-		opt, err := stride2M.FindAllStride1(data)
+		opt, err := stride2M.FindAllWith(data, core.ScanOptions{DisableStride2: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertEqualMatches(t, "FindAllStride1", opt, want)
+		assertEqualMatches(t, "DisableStride2", opt, want)
 		pool := parallel.NewPool(2)
 		defer pool.Close()
 		cs := int(chunk)%2048 + 1
 		for _, opts := range []core.ParallelOptions{
 			{Workers: k, ChunkBytes: cs},
 			{ChunkBytes: cs, Pool: pool},
-			{Workers: k, ChunkBytes: cs, DisableStride2: true},
+			{Workers: k, ChunkBytes: cs, ScanOptions: core.ScanOptions{DisableStride2: true}},
 		} {
 			par, err := stride2M.FindAllParallel(data, opts)
 			if err != nil {

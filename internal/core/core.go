@@ -1,6 +1,6 @@
 // Package core is the library facade over the paper's system: compile
-// a dictionary (exact strings or regular expressions) into DFA tiles,
-// scan data or streams, and predict Cell-deployment performance.
+// a dictionary (exact strings or regular expressions) into DFA tiles
+// and scan data or streams.
 //
 // The zero-configuration path:
 //
@@ -8,24 +8,26 @@
 //	matches := m.FindAll(data)
 //
 // matches every dictionary entry with the paper's alphabet-reduced,
-// pointer-encoded Aho-Corasick machinery; EstimateCell and Table1
-// expose the performance-model side.
+// pointer-encoded Aho-Corasick machinery. Every scan runs on one
+// kernel.Verifier chosen by the selection ladder (selectVerifier); the
+// Cell performance model (cellmatch.EstimateCell, cellmatch.Table1)
+// lives outside this package so production binaries do not link the
+// simulator.
 package core
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"cellmatch/internal/alphabet"
-	"cellmatch/internal/cell"
 	"cellmatch/internal/compose"
 	"cellmatch/internal/dfa"
 	"cellmatch/internal/filter"
 	"cellmatch/internal/kernel"
 	"cellmatch/internal/stt"
-	"cellmatch/internal/tile"
 )
 
 // Match is one dictionary hit: Pattern is the index into the compiled
@@ -250,12 +252,11 @@ type Matcher struct {
 	sys      *compose.System
 	opts     Options
 	patterns [][]byte
-	minLen   int                // shortest dictionary pattern (regex: shortest possible match)
-	regex    bool               // dictionary entries are regular expressions
-	eng      *kernel.Engine     // nil when the dense kernel is disabled or over budget
-	comp     *kernel.Compressed // nil unless the compressed-row tier is live
-	sharded  *kernel.Sharded    // nil unless the sharded tier is live
-	filter   *filter.Filter     // nil when the skip-scan front-end is off/bypassed
+	minLen   int             // shortest dictionary pattern (regex: shortest possible match)
+	regex    bool            // dictionary entries are regular expressions
+	v        kernel.Verifier // the live rung of the selection ladder
+	v1       kernel.Verifier // v's 1-byte view (v itself off the stride-2 rung)
+	filter   *filter.Filter  // nil when the skip-scan front-end is off/bypassed
 
 	// windowsSkipped counts window positions the skip-scan front-end
 	// never examined, accumulated across every scan (FindAll, parallel,
@@ -281,98 +282,149 @@ type Matcher struct {
 // delta loader needs to recompile an edited dictionary identically.
 func (m *Matcher) Options() Options { return m.opts }
 
-// initEngine walks the selection ladder: the single dense kernel, then
-// the compressed-row tier, then the sharded multi-kernel engine, then
-// the stt/dfa path (m.eng, m.comp, and m.sharded all nil). Budget
-// overruns step down the ladder; any other compile failure is a real
-// defect and propagates.
-func (m *Matcher) initEngine() error {
+// finish completes a matcher whose system and dictionary are set: the
+// verifier from the selection ladder, then the skip-scan front-end.
+// prev, reused and ds are selectVerifier's delta inputs (nil on a cold
+// build).
+func (m *Matcher) finish(prev *Matcher, reused []bool, ds *DeltaStats) (*Matcher, error) {
+	v, err := m.selectVerifier(prev, reused, ds)
+	if err != nil {
+		return nil, err
+	}
+	m.v, m.v1 = v, kernel.OneByte(v)
+	if err := m.initFilter(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// selectVerifier walks the selection ladder — the one place that names
+// the rungs: the dense kernel (with stride-2 pair tables when they
+// qualify), then the compressed-row tier, then the sharded multi-kernel
+// engine, then the stt/dfa path. Budget overruns step down the ladder;
+// any other compile failure is a real defect and propagates.
+//
+// prev, when non-nil, is the matcher an incremental recompile patches
+// (RecompileDelta): dense tables whose slot automaton (reused[i]) AND
+// global pattern ids are unchanged are adopted from prev's kernel, and
+// prev's shard engines go to the fingerprint-keyed sharded delta path,
+// with shard reuse tallied into ds. Reused units are immutable and
+// rebuilt ones run the cold construction, so the result is
+// byte-identical to a cold build; the compressed tier always compiles
+// cold (its build is cheap and deterministic).
+func (m *Matcher) selectVerifier(prev *Matcher, reused []bool, ds *DeltaStats) (kernel.Verifier, error) {
 	if s := m.opts.Engine.Stride; s < 0 || s > 2 {
-		return fmt.Errorf("core: bad stride %d (want 0 auto, 1, or 2)", s)
+		return nil, fmt.Errorf("core: bad stride %d (want 0 auto, 1, or 2)", s)
 	}
 	if cm := m.opts.Engine.Compressed; cm < CompressedAuto || cm > CompressedOff {
-		return fmt.Errorf("core: bad compressed mode %d", cm)
+		return nil, fmt.Errorf("core: bad compressed mode %d", cm)
 	}
+	stt := kernel.NewSTT(m.sys)
 	if m.opts.Engine.DisableKernel {
-		return nil
+		return stt, nil
+	}
+	var prevTables []*kernel.Table
+	var prevSharded *kernel.Sharded
+	var prevPatterns [][]byte
+	if prev != nil {
+		if e, ok := prev.v.(*kernel.Engine); ok {
+			prevTables = e.Tables
+		}
+		prevSharded, _ = prev.v.(*kernel.Sharded)
+		prevPatterns = prev.patterns
+	}
+	kopts := kernel.Options{
+		MaxTableBytes: m.opts.Engine.MaxTableBytes,
+		InterleaveK:   m.opts.Engine.InterleaveK,
+		Stride:        m.opts.Engine.Stride,
+		Workers:       m.opts.CompileWorkers,
 	}
 	if m.opts.Engine.Compressed != CompressedOn {
-		eng, err := kernel.Compile(m.sys, kernel.Options{
-			MaxTableBytes: m.opts.Engine.MaxTableBytes,
-			InterleaveK:   m.opts.Engine.InterleaveK,
-			Stride:        m.opts.Engine.Stride,
-			Workers:       m.opts.CompileWorkers,
-		})
+		eng, err := kernel.CompileReusing(m.sys, kopts, m.reusableTables(prev, prevTables, reused))
 		if err == nil {
-			m.eng = eng
-			return nil
+			return eng, nil
 		}
 		if !errors.Is(err, kernel.ErrBudget) {
-			return err
+			return nil, err
 		}
 	}
-	if err := m.initCompressed(); err != nil {
-		return err
+	if m.opts.Engine.Compressed != CompressedOff {
+		// The hard budget is the resolved MaxTableBytes; CompressedAuto
+		// also caps it at L2Budget — the tier trades extra ops per byte
+		// for cache residency, so a compressed table that spills past L2
+		// has given up the advantage and the sharded tier is the better
+		// fallback.
+		kopts.MaxTableBytes = kernel.ResolveMaxTableBytes(m.opts.Engine.MaxTableBytes)
+		if m.opts.Engine.Compressed == CompressedAuto {
+			kopts.MaxTableBytes = min(kopts.MaxTableBytes, kernel.L2Budget)
+		}
+		comp, err := kernel.CompileCompressed(m.sys, kopts)
+		if err == nil {
+			return comp, nil
+		}
+		if !errors.Is(err, kernel.ErrBudget) {
+			return nil, err
+		}
 	}
-	if m.comp != nil {
-		return nil
+	// Sharding is off below zero; and the shard planner repartitions
+	// literal patterns by trie size, which regex dictionaries lack, so
+	// over-budget ones go straight to the stt fallback. (The compressed
+	// tier above compiles from the slot DFAs and serves regex
+	// dictionaries fine — this cliff starts below it.)
+	if m.opts.Engine.MaxShards < 0 || m.regex {
+		return stt, nil
 	}
-	if m.opts.Engine.MaxShards < 0 {
-		return nil // sharding disabled: stt fallback
-	}
-	if m.regex {
-		// The shard planner repartitions literal patterns by trie size;
-		// regex dictionaries have no such decomposition, so over-budget
-		// ones go straight to the stt fallback. (The compressed tier
-		// above compiles from the slot DFAs and serves regex
-		// dictionaries fine — this cliff starts below it.)
-		return nil
-	}
-	sh, err := kernel.CompileSharded(m.patterns, kernel.ShardConfig{
+	sh, shReused, err := kernel.CompileShardedDelta(m.patterns, kernel.ShardConfig{
 		CaseFold:      m.opts.CaseFold,
 		MaxTableBytes: m.opts.Engine.MaxTableBytes,
 		MaxShards:     m.opts.Engine.MaxShards,
 		Workers:       m.opts.CompileWorkers,
 		InterleaveK:   m.opts.Engine.InterleaveK,
-	})
-	if err == nil {
-		m.sharded = sh
-		return nil
-	}
+	}, prevSharded, prevPatterns)
 	if errors.Is(err, kernel.ErrBudget) {
-		return nil // cannot shard within constraints: stt fallback
+		return stt, nil // cannot shard within constraints
 	}
-	return err
+	if err != nil {
+		return nil, err
+	}
+	if ds != nil {
+		for _, r := range shReused {
+			if r {
+				ds.ShardsReused++
+			} else {
+				ds.ShardsRebuilt++
+			}
+		}
+	}
+	return sh, nil
 }
 
-// initCompressed tries the compressed-row tier per
-// EngineOptions.Compressed. The hard budget is always the resolved
-// MaxTableBytes; CompressedAuto additionally caps it at L2Budget —
-// the tier trades extra ops per byte for cache residency, so a
-// compressed table that spills past L2 has given up the advantage and
-// the sharded tier below is the better fallback. A budget miss leaves
-// m.comp nil (the ladder steps down); any other failure propagates.
-func (m *Matcher) initCompressed() error {
-	if m.opts.Engine.Compressed == CompressedOff {
+// reusableTables maps each of m's slots to prev's compiled dense table
+// (donor, one per prev slot) when the slot automaton survived the delta
+// (reused[i]) and its global pattern ids are unchanged, nil otherwise;
+// nil altogether without donor tables.
+func (m *Matcher) reusableTables(prev *Matcher, donor []*kernel.Table, reused []bool) []*kernel.Table {
+	if donor == nil || len(donor) != len(prev.sys.Slots) {
 		return nil
 	}
-	budget := kernel.ResolveMaxTableBytes(m.opts.Engine.MaxTableBytes)
-	if m.opts.Engine.Compressed == CompressedAuto && budget > kernel.L2Budget {
-		budget = kernel.L2Budget
+	oldSlot := make(map[*dfa.DFA]int, len(prev.sys.Slots))
+	for j, d := range prev.sys.Slots {
+		if _, dup := oldSlot[d]; !dup {
+			oldSlot[d] = j
+		}
 	}
-	comp, err := kernel.CompileCompressed(m.sys, kernel.Options{
-		MaxTableBytes: budget,
-		InterleaveK:   m.opts.Engine.InterleaveK,
-		Workers:       m.opts.CompileWorkers,
-	})
-	if err == nil {
-		m.comp = comp
-		return nil
+	prebuilt := make([]*kernel.Table, len(m.sys.Slots))
+	for i, d := range m.sys.Slots {
+		j, ok := oldSlot[d]
+		// A reused automaton is content-identical, but the table also
+		// bakes global pattern ids into its out sets — an insert that
+		// shifted later ids invalidates the table even though the
+		// automaton survived.
+		if reused[i] && ok && slices.Equal(m.sys.SlotPatterns[i], prev.sys.SlotPatterns[j]) {
+			prebuilt[i] = donor[j]
+		}
 	}
-	if errors.Is(err, kernel.ErrBudget) {
-		return nil
-	}
-	return err
+	return prebuilt
 }
 
 // initFilter builds the skip-scan front-end per EngineOptions.Filter.
@@ -425,21 +477,21 @@ func Compile(patterns [][]byte, opts Options) (*Matcher, error) {
 		return nil, err
 	}
 	cp := make([][]byte, len(patterns))
-	minLen := 0
 	for i, p := range patterns {
 		cp[i] = append([]byte(nil), p...)
+	}
+	return (&Matcher{sys: sys, opts: opts, patterns: cp, minLen: shortest(cp)}).finish(nil, nil, nil)
+}
+
+// shortest is the length of the shortest pattern (0 for none).
+func shortest(patterns [][]byte) int {
+	minLen := 0
+	for _, p := range patterns {
 		if minLen == 0 || len(p) < minLen {
 			minLen = len(p)
 		}
 	}
-	m := &Matcher{sys: sys, opts: opts, patterns: cp, minLen: minLen}
-	if err := m.initEngine(); err != nil {
-		return nil, err
-	}
-	if err := m.initFilter(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return minLen
 }
 
 // CompileRegexSearch builds a matcher from a dictionary of regular
@@ -475,14 +527,7 @@ func CompileRegexSearch(exprs []string, opts Options) (*Matcher, error) {
 	for i, e := range exprs {
 		cp[i] = []byte(e)
 	}
-	m := &Matcher{sys: sys, opts: opts, patterns: cp, minLen: minLen, regex: true}
-	if err := m.initEngine(); err != nil {
-		return nil, err
-	}
-	if err := m.initFilter(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return (&Matcher{sys: sys, opts: opts, patterns: cp, minLen: minLen, regex: true}).finish(nil, nil, nil)
 }
 
 // IsRegex reports whether the dictionary entries are regular
@@ -504,138 +549,81 @@ func CompileStrings(patterns []string, opts Options) (*Matcher, error) {
 	return Compile(bs, opts)
 }
 
+// ScanOptions are the per-call opt-outs of a scan. Output is
+// byte-identical under every combination; they exist for differential
+// testing and as the serving layer's filter=off / stride=1 knobs.
+type ScanOptions struct {
+	// DisableFilter bypasses the skip-scan front-end: every byte goes
+	// through the verifier.
+	DisableFilter bool
+	// DisableStride2 scans on the verifier's 1-byte view: the stride-2
+	// rung steps one byte per transition on its dense tables (no-op on
+	// every other rung).
+	DisableStride2 bool
+}
+
 // FindAll reports every dictionary occurrence in data. With the
 // skip-scan front-end live (EngineOptions.Filter) most input bytes are
 // never read: the window filter yields candidate segments and only
-// those pass through the verifier engine. Otherwise the scan is a
-// single pass over the raw bytes — the dense kernel by default, the
-// stt/dfa fallback when disabled or over budget. Every configuration
-// produces byte-identical results in the same (End, Pattern) order.
+// those pass through the verifier. Otherwise the scan is a single pass
+// over the raw bytes on the live rung of the selection ladder. Every
+// configuration produces byte-identical results in the same
+// (End, Pattern) order.
 func (m *Matcher) FindAll(data []byte) ([]Match, error) {
-	if m.filter != nil {
-		return m.findAllFiltered(data, false)
-	}
-	return m.FindAllUnfiltered(data)
-}
-
-// FindAllStride1 is FindAll with the stride-2 pair loops bypassed for
-// this request: the verifier engine steps one byte per transition on
-// its dense tables. Output is byte-identical to FindAll — the knob is
-// the differential-testing and serving-layer opt-out for the stride-2
-// rung, mirroring FindAllUnfiltered for the filter rung. On matchers
-// without a live stride-2 rung it is exactly FindAll.
-func (m *Matcher) FindAllStride1(data []byte) ([]Match, error) {
-	if m.eng == nil || m.eng.Stride() != 2 {
-		return m.FindAll(data)
-	}
-	if m.filter != nil {
-		return m.findAllFiltered(data, true)
-	}
-	return convertMatches(m.eng.FindAllStride1(data)), nil
-}
-
-// FindAllUnfilteredStride1 combines both per-request opt-outs: no
-// skip-scan front-end AND 1-byte kernel stepping. It is the fully
-// pinned sequential reference path (what the conformance harness
-// compiles explicitly) available on any matcher without recompiling.
-func (m *Matcher) FindAllUnfilteredStride1(data []byte) ([]Match, error) {
-	if m.eng != nil {
-		return convertMatches(m.eng.FindAllStride1(data)), nil
-	}
-	return m.FindAllUnfiltered(data)
-}
-
-// Stride reports the live kernel transition stride: 2 when the
-// stride-2 pair tables are up, 1 for the 1-byte kernel, compressed,
-// and sharded tiers, 0 when no kernel-family engine is live (stt
-// fallback).
-func (m *Matcher) Stride() int {
-	switch {
-	case m.eng != nil:
-		return m.eng.Stride()
-	case m.comp != nil, m.sharded != nil:
-		return 1
-	default:
-		return 0
-	}
+	return m.FindAllWith(data, ScanOptions{})
 }
 
 // FindAllUnfiltered is FindAll with the skip-scan front-end bypassed:
-// every byte goes through the verifier engine. It is the reference
-// path the filter is differentially tested against, and the per-request
-// opt-out the serving layer exposes.
+// every byte goes through the verifier. It is the reference path the
+// filter is differentially tested against.
 func (m *Matcher) FindAllUnfiltered(data []byte) ([]Match, error) {
-	if m.eng != nil {
-		return convertMatches(m.eng.FindAll(data)), nil
-	}
-	if m.comp != nil {
-		return convertMatches(m.comp.FindAll(data)), nil
-	}
-	if m.sharded != nil {
-		return convertMatches(m.sharded.FindAll(data)), nil
-	}
-	raw, err := m.sys.Scan(data)
-	if err != nil {
-		return nil, err
-	}
-	return convertMatches(raw), nil
+	return m.FindAllWith(data, ScanOptions{DisableFilter: true})
 }
 
-// findAllFiltered runs the skip-scan front-end and verifies each
-// candidate segment from the verifier's root state. Segments are
-// disjoint and ordered and every match lies wholly inside one (the
-// filter's containment guarantee), so concatenating the per-segment
-// sorted matches reproduces FindAll's global (End, Pattern) order.
-func (m *Matcher) findAllFiltered(data []byte, stride1 bool) ([]Match, error) {
+// FindAllWith is the sequential scan under per-call opt-outs — the one
+// entry point behind FindAll, FindAllUnfiltered, and the serving
+// layer's mode=seq.
+func (m *Matcher) FindAllWith(data []byte, o ScanOptions) ([]Match, error) {
+	v := m.verifier(o)
+	if m.filter == nil || o.DisableFilter {
+		return convertMatches(v.FindAll(data)), nil
+	}
+	// Segments are disjoint and ordered and every match lies wholly
+	// inside one (the filter's containment guarantee), so concatenating
+	// the per-segment sorted matches reproduces the global order.
 	segs, skipped := m.filter.Segments(data)
 	m.windowsSkipped.Add(uint64(skipped))
 	out := make([]Match, 0)
 	for _, sg := range segs {
-		ms, err := m.scanSegment(data[sg.Start:sg.End], sg.Start, stride1)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ms...)
+		out = append(out, scanSegment(v, data[sg.Start:sg.End], sg.Start)...)
 	}
 	return out, nil
 }
 
-// scanSegment scans one piece from the root state on the live verifier
-// engine, returning matches sorted by (End, Pattern) with End offsets
-// shifted by base — the verification unit of the filtered paths.
-// stride1 pins the kernel to its 1-byte loops for this piece.
-func (m *Matcher) scanSegment(piece []byte, base int, stride1 bool) ([]Match, error) {
-	switch {
-	case m.eng != nil:
-		var raw []dfa.Match
-		if stride1 {
-			raw = m.eng.ScanChunkStride1(piece, base, 0)
-		} else {
-			raw = m.eng.ScanChunk(piece, base, 0)
-		}
-		dfa.SortMatches(raw)
-		return convertMatches(raw), nil
-	case m.comp != nil:
-		raw := m.comp.ScanChunk(piece, base, 0)
-		dfa.SortMatches(raw)
-		return convertMatches(raw), nil
-	case m.sharded != nil:
-		var raw []dfa.Match
-		for sh := 0; sh < m.sharded.Shards(); sh++ {
-			raw = append(raw, m.sharded.ScanShardChunk(sh, piece, base, 0)...)
-		}
-		dfa.SortMatches(raw)
-		return convertMatches(raw), nil
-	default:
-		raw, err := m.sys.Scan(piece)
-		if err != nil {
-			return nil, err
-		}
-		for i := range raw {
-			raw[i].End += base
-		}
-		return convertMatches(raw), nil
+// verifier is the rung a call scans on: the live verifier, or its
+// 1-byte view under DisableStride2.
+func (m *Matcher) verifier(o ScanOptions) kernel.Verifier {
+	if o.DisableStride2 {
+		return m.v1
 	}
+	return m.v
+}
+
+// Stride reports the live kernel transition stride: 2 when the
+// stride-2 pair tables are up, 1 for the 1-byte kernel, compressed,
+// and sharded tiers, 0 on the stt fallback.
+func (m *Matcher) Stride() int { return m.v.Stride() }
+
+// scanSegment scans one piece from the root state with every unit of
+// v, returning matches sorted by (End, Pattern) with End offsets
+// shifted by base — the verification unit of the filtered paths.
+func scanSegment(v kernel.Verifier, piece []byte, base int) []Match {
+	var raw []dfa.Match
+	for u := 0; u < v.Units(); u++ {
+		raw = append(raw, v.ScanUnit(u, piece, base, 0)...)
+	}
+	dfa.SortMatches(raw)
+	return convertMatches(raw)
 }
 
 func convertMatches(raw []dfa.Match) []Match {
@@ -651,32 +639,15 @@ func convertMatches(raw []dfa.Match) []Match {
 // filter live only candidate segments are counted.
 func (m *Matcher) Count(data []byte) (int, error) {
 	if m.filter == nil {
-		return m.countUnfiltered(data)
+		return m.v.Count(data), nil
 	}
 	segs, skipped := m.filter.Segments(data)
 	m.windowsSkipped.Add(uint64(skipped))
 	total := 0
 	for _, sg := range segs {
-		n, err := m.countUnfiltered(data[sg.Start:sg.End])
-		if err != nil {
-			return 0, err
-		}
-		total += n
+		total += m.v.Count(data[sg.Start:sg.End])
 	}
 	return total, nil
-}
-
-func (m *Matcher) countUnfiltered(data []byte) (int, error) {
-	if m.eng != nil {
-		return m.eng.Count(data), nil
-	}
-	if m.comp != nil {
-		return m.comp.Count(data), nil
-	}
-	if m.sharded != nil {
-		return m.sharded.Count(data), nil
-	}
-	return m.sys.CountMatches(data)
 }
 
 // Contains reports whether any dictionary entry occurs in data — the
@@ -802,37 +773,16 @@ func (m *Matcher) Stats() Stats {
 		s.FilterEnabled = true
 		s.FilterWindow = m.filter.Window
 	}
-	switch {
-	case m.eng != nil:
-		s.Engine = "kernel"
-		s.Stride = 1
-		s.KernelTableBytes = m.eng.TableBytes()
-		resident := s.KernelTableBytes
-		if m.eng.Stride() == 2 {
-			s.Engine = "stride2"
-			s.Stride = 2
-			s.PairTableBytes = m.eng.PairBytes()
-			resident += s.PairTableBytes
-		}
-		s.TableFitsL1 = resident <= kernel.L1DataBudget
-		s.TableFitsL2 = resident <= kernel.L2Budget
-	case m.comp != nil:
-		s.Engine = "compressed"
-		s.Stride = 1
-		s.CompressedTableBytes = m.comp.TableBytes()
-		s.TableFitsL1 = s.CompressedTableBytes <= kernel.L1DataBudget
-		s.TableFitsL2 = s.CompressedTableBytes <= kernel.L2Budget
-	case m.sharded != nil:
-		s.Engine = "sharded"
-		s.Stride = 1
-		s.KernelTableBytes = m.sharded.TableBytes()
-		s.Shards = m.sharded.Shards()
-		s.MaxShardTableBytes = m.sharded.MaxShardBytes()
-		s.TableFitsL1 = s.MaxShardTableBytes <= kernel.L1DataBudget
-		s.TableFitsL2 = s.MaxShardTableBytes <= kernel.L2Budget
-	default:
-		s.Engine = "stt"
-	}
+	fp := m.v.Footprint()
+	s.Engine = m.v.Name()
+	s.Stride = m.v.Stride()
+	s.KernelTableBytes = fp.KernelTableBytes
+	s.PairTableBytes = fp.PairTableBytes
+	s.CompressedTableBytes = fp.CompressedTableBytes
+	s.Shards = fp.Shards
+	s.MaxShardTableBytes = fp.MaxShardTableBytes
+	s.TableFitsL1 = fp.Resident > 0 && fp.Resident <= kernel.L1DataBudget
+	s.TableFitsL2 = fp.Resident > 0 && fp.Resident <= kernel.L2Budget
 	return s
 }
 
@@ -843,75 +793,10 @@ func (m *Matcher) FilterActive() bool { return m.filter != nil }
 // EngineName reports the live scan engine ("stride2", "kernel",
 // "compressed", "sharded", or "stt") without computing full Stats —
 // the cheap per-request form for serving paths.
-func (m *Matcher) EngineName() string {
-	switch {
-	case m.eng != nil:
-		if m.eng.Stride() == 2 {
-			return "stride2"
-		}
-		return "kernel"
-	case m.comp != nil:
-		return "compressed"
-	case m.sharded != nil:
-		return "sharded"
-	}
-	return "stt"
-}
-
-// carryTables flattens the live kernel-family tier's tables (one per
-// series slot, across shards when sharded) as carry-scanners, or nil
-// on the stt path — the carry-state unit list for incremental scans.
-// Dense and compressed tables share the CarryScanner contract, so the
-// stream machinery is representation-agnostic.
-func (m *Matcher) carryTables() []kernel.CarryScanner {
-	switch {
-	case m.eng != nil:
-		out := make([]kernel.CarryScanner, len(m.eng.Tables))
-		for i, t := range m.eng.Tables {
-			out[i] = t
-		}
-		return out
-	case m.comp != nil:
-		out := make([]kernel.CarryScanner, len(m.comp.Tables))
-		for i, t := range m.comp.Tables {
-			out[i] = t
-		}
-		return out
-	case m.sharded != nil:
-		tables := m.sharded.AllTables()
-		out := make([]kernel.CarryScanner, len(tables))
-		for i, t := range tables {
-			out[i] = t
-		}
-		return out
-	}
-	return nil
-}
+func (m *Matcher) EngineName() string { return m.v.Name() }
 
 // System exposes the underlying composed system for advanced use.
 func (m *Matcher) System() *compose.System { return m.sys }
-
-// EstimateCell plans the matcher onto a blade and predicts filtering
-// throughput for the given traffic volume.
-func (m *Matcher) EstimateCell(blade cell.Blade, inputBytes int64) (cell.Estimate, error) {
-	d, err := cell.Plan(m.sys, blade, m.opts.Version)
-	if err != nil {
-		return cell.Estimate{}, err
-	}
-	return d.Estimate(inputBytes), nil
-}
-
-// Table1 regenerates the paper's Table 1 on this matcher's largest
-// series slot.
-func (m *Matcher) Table1() ([]tile.Table1Row, error) {
-	var biggest *dfa.DFA
-	for _, d := range m.sys.Slots {
-		if biggest == nil || d.NumStates() > biggest.NumStates() {
-			biggest = d
-		}
-	}
-	return tile.MeasureTable1(biggest, 16*1024, 1)
-}
 
 // CompileRegexSet builds a single-automaton matcher from regular
 // expressions (the paper's Section 1 notes dictionaries "expressed as
@@ -958,14 +843,14 @@ func (r *RegexSet) MatchWhole(data []byte) []int {
 }
 
 // Stream is an incremental scanner: feed data in arbitrary chunk
-// sizes; matches carry global offsets. A Stream holds one cursor per
-// series slot (or, with the skip-scan front-end live, the last
-// MaxPatternLen-1 bytes), so memory is O(dictionary), not O(input).
+// sizes; matches carry global offsets. A Stream holds one carried
+// cursor per verifier carry table (or, with the skip-scan front-end
+// live, the last MaxPatternLen-1 bytes), so memory is O(dictionary),
+// not O(input).
 type Stream struct {
 	m      *Matcher
-	states []int                 // per-slot DFA state (stt/dfa path)
-	tables []kernel.CarryScanner // flattened kernel-family tables (kernel/compressed/sharded path)
-	rows   []uint32              // per-table encoded carry row (kernel/compressed/sharded path)
+	tables []kernel.CarryScanner // the verifier's carry tables
+	rows   []uint32              // per-table carried value
 
 	// Filtered mode: the window filter needs whole windows, so the
 	// stream carries the previous chunks' tail (MaxPatternLen-1 bytes)
@@ -988,17 +873,10 @@ func (m *Matcher) NewStream() *Stream {
 		st.filt = m.filter
 		return st
 	}
-	if tables := m.carryTables(); tables != nil {
-		st.tables = tables
-		st.rows = make([]uint32, len(tables))
-		for i, t := range tables {
-			st.rows[i] = t.StartRow()
-		}
-		return st
-	}
-	st.states = make([]int, len(m.sys.Slots))
-	for i, d := range m.sys.Slots {
-		st.states[i] = d.Start
+	st.tables = m.v.CarryTables()
+	st.rows = make([]uint32, len(st.tables))
+	for i, t := range st.tables {
+		st.rows[i] = t.StartRow()
 	}
 	return st
 }
@@ -1006,7 +884,7 @@ func (m *Matcher) NewStream() *Stream {
 // writeFiltered is Write on the skip-scan path: filter the carried
 // tail plus the new chunk, verify candidate segments from the root,
 // and drop matches ending inside the tail (already reported).
-func (s *Stream) writeFiltered(p []byte) (int, error) {
+func (s *Stream) writeFiltered(p []byte) {
 	s.buf = append(append(s.buf[:0], s.tail...), p...)
 	text := s.buf
 	segs, skipped := s.filt.Segments(text)
@@ -1014,11 +892,7 @@ func (s *Stream) writeFiltered(p []byte) (int, error) {
 	dedupe := len(s.tail)
 	base := s.offset - dedupe
 	for _, sg := range segs {
-		ms, err := s.m.scanSegment(text[sg.Start:sg.End], sg.Start, false)
-		if err != nil {
-			return 0, err
-		}
-		for _, mt := range ms {
+		for _, mt := range scanSegment(s.m.v, text[sg.Start:sg.End], sg.Start) {
 			if mt.End <= dedupe {
 				continue // reported by the previous Write
 			}
@@ -1032,37 +906,19 @@ func (s *Stream) writeFiltered(p []byte) (int, error) {
 		keep = len(text)
 	}
 	s.tail = append(s.tail[:0], text[len(text)-keep:]...)
-	return len(p), nil
 }
 
-// Write consumes the next chunk. It never fails on the unfiltered
-// paths; the error satisfies io.Writer.
+// Write consumes the next chunk. It never fails; the error satisfies
+// io.Writer.
 func (s *Stream) Write(p []byte) (int, error) {
 	if s.filt != nil {
-		return s.writeFiltered(p)
-	}
-	if s.tables != nil {
-		for i, t := range s.tables {
-			s.rows[i] = t.ScanCarry(p, s.rows[i], func(pid int32, end int) {
-				s.found = append(s.found, Match{Pattern: int(pid), End: s.offset + end})
-			})
-		}
-		s.offset += len(p)
+		s.writeFiltered(p)
 		return len(p), nil
 	}
-	reduced := s.m.sys.Red.Reduce(p)
-	for i, d := range s.m.sys.Slots {
-		state := s.states[i]
-		for pos, c := range reduced {
-			state = d.Step(state, c)
-			for _, pid := range d.Out[state] {
-				s.found = append(s.found, Match{
-					Pattern: s.m.sys.SlotPatterns[i][pid],
-					End:     s.offset + pos + 1,
-				})
-			}
-		}
-		s.states[i] = state
+	for i, t := range s.tables {
+		s.rows[i] = t.ScanCarry(p, s.rows[i], func(pid int32, end int) {
+			s.found = append(s.found, Match{Pattern: int(pid), End: s.offset + end})
+		})
 	}
 	s.offset += len(p)
 	return len(p), nil

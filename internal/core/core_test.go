@@ -3,8 +3,6 @@ package core
 import (
 	"sort"
 	"testing"
-
-	"cellmatch/internal/cell"
 )
 
 func TestCompileAndFindAll(t *testing.T) {
@@ -69,34 +67,6 @@ func TestStatsShape(t *testing.T) {
 	}
 	if m.NumPatterns() != 3 || string(m.Pattern(1)) != "beta" {
 		t.Fatal("pattern accessors")
-	}
-}
-
-func TestEstimateCellHeadline(t *testing.T) {
-	m, err := CompileStrings([]string{"attack", "exploit"}, Options{Groups: 2, CaseFold: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := m.EstimateCell(cell.DefaultBlade(), 8*1024*1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.SimulatedGbps < 10 {
-		t.Fatalf("2-group estimate = %.2f Gbps, want >= 10 (paper headline)", est.SimulatedGbps)
-	}
-}
-
-func TestTable1ThroughFacade(t *testing.T) {
-	m, err := CompileStrings([]string{"signature"}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := m.Table1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 || rows[3].Version != 4 {
-		t.Fatalf("table shape: %d rows", len(rows))
 	}
 }
 

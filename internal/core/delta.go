@@ -14,13 +14,10 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 
 	"cellmatch/internal/compose"
-	"cellmatch/internal/dfa"
-	"cellmatch/internal/kernel"
 )
 
 // DeltaStats account for one incremental recompile: how much of the
@@ -79,126 +76,14 @@ func (m *Matcher) RecompileDelta(newPatterns [][]byte) (*Matcher, *DeltaStats, e
 		}
 	}
 	cp := make([][]byte, len(newPatterns))
-	minLen := 0
 	for i, p := range newPatterns {
 		cp[i] = append([]byte(nil), p...)
-		if minLen == 0 || len(p) < minLen {
-			minLen = len(p)
-		}
 	}
-	m2 := &Matcher{sys: sys, opts: m.opts, patterns: cp, minLen: minLen}
-	if err := m2.initEngineDelta(m, reused, ds); err != nil {
-		return nil, nil, err
-	}
-	if err := m2.initFilter(); err != nil {
+	m2, err := (&Matcher{sys: sys, opts: m.opts, patterns: cp, minLen: shortest(cp)}).finish(m, reused, ds)
+	if err != nil {
 		return nil, nil, err
 	}
 	return m2, ds, nil
-}
-
-// initEngineDelta is initEngine with per-unit reuse from prev: dense
-// tables whose slot automaton AND global pattern ids are unchanged are
-// adopted from prev's kernel engine, and sharded compiles hand prev's
-// shard engines to the fingerprint-keyed delta path. The selection
-// ladder (kernel -> compressed -> sharded -> stt) is identical to the
-// cold build; the compressed tier compiles cold (its build is cheap
-// and deterministic, so byte-identity with the cold compile holds
-// without a reuse path).
-func (m *Matcher) initEngineDelta(prev *Matcher, reused []bool, ds *DeltaStats) error {
-	if s := m.opts.Engine.Stride; s < 0 || s > 2 {
-		return fmt.Errorf("core: bad stride %d (want 0 auto, 1, or 2)", s)
-	}
-	if cm := m.opts.Engine.Compressed; cm < CompressedAuto || cm > CompressedOff {
-		return fmt.Errorf("core: bad compressed mode %d", cm)
-	}
-	if m.opts.Engine.DisableKernel {
-		return nil
-	}
-	var prebuilt []*kernel.Table
-	if prev.eng != nil && len(prev.eng.Tables) == len(prev.sys.Slots) {
-		oldSlot := make(map[*dfa.DFA]int, len(prev.sys.Slots))
-		for j, d := range prev.sys.Slots {
-			if _, dup := oldSlot[d]; !dup {
-				oldSlot[d] = j
-			}
-		}
-		prebuilt = make([]*kernel.Table, len(m.sys.Slots))
-		for i, d := range m.sys.Slots {
-			if !reused[i] {
-				continue
-			}
-			j, ok := oldSlot[d]
-			if !ok {
-				continue
-			}
-			// A reused automaton is content-identical, but the table also
-			// bakes global pattern ids into its out sets — an insert that
-			// shifted later ids invalidates the table even though the
-			// automaton survived.
-			if !intsEqual(m.sys.SlotPatterns[i], prev.sys.SlotPatterns[j]) {
-				continue
-			}
-			prebuilt[i] = prev.eng.Tables[j]
-		}
-	}
-	if m.opts.Engine.Compressed != CompressedOn {
-		eng, err := kernel.CompileReusing(m.sys, kernel.Options{
-			MaxTableBytes: m.opts.Engine.MaxTableBytes,
-			InterleaveK:   m.opts.Engine.InterleaveK,
-			Stride:        m.opts.Engine.Stride,
-			Workers:       m.opts.CompileWorkers,
-		}, prebuilt)
-		if err == nil {
-			m.eng = eng
-			return nil
-		}
-		if !errors.Is(err, kernel.ErrBudget) {
-			return err
-		}
-	}
-	if err := m.initCompressed(); err != nil {
-		return err
-	}
-	if m.comp != nil {
-		return nil
-	}
-	if m.opts.Engine.MaxShards < 0 {
-		return nil // sharding disabled: stt fallback
-	}
-	sh, shReused, err := kernel.CompileShardedDelta(m.patterns, kernel.ShardConfig{
-		CaseFold:      m.opts.CaseFold,
-		MaxTableBytes: m.opts.Engine.MaxTableBytes,
-		MaxShards:     m.opts.Engine.MaxShards,
-		Workers:       m.opts.CompileWorkers,
-		InterleaveK:   m.opts.Engine.InterleaveK,
-	}, prev.sharded, prev.patterns)
-	if err == nil {
-		m.sharded = sh
-		for _, r := range shReused {
-			if r {
-				ds.ShardsReused++
-			} else {
-				ds.ShardsRebuilt++
-			}
-		}
-		return nil
-	}
-	if errors.Is(err, kernel.ErrBudget) {
-		return nil // cannot shard within constraints: stt fallback
-	}
-	return err
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // AddPatterns returns a matcher for the dictionary with add appended

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"cellmatch/internal/kernel"
 )
 
 // matcherImage serializes everything observable about a compiled
@@ -16,13 +18,13 @@ func matcherImage(t *testing.T, m *Matcher) []byte {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	switch {
-	case m.eng != nil:
-		for _, tab := range m.eng.Tables {
+	switch v := m.v.(type) {
+	case *kernel.Engine:
+		for _, tab := range v.Tables {
 			buf.Write(tab.Bytes())
 		}
-	case m.sharded != nil:
-		buf.Write(m.sharded.Bytes())
+	case *kernel.Sharded:
+		buf.Write(v.Bytes())
 	}
 	return buf.Bytes()
 }

@@ -136,7 +136,7 @@ func TestFilterEquivalenceMatrix(t *testing.T) {
 					}
 					// Per-request bypass is byte-identical as well.
 					par, err := onM.FindAllParallel(data, ParallelOptions{
-						Workers: 2, ChunkBytes: chunk, DisableFilter: true,
+						Workers: 2, ChunkBytes: chunk, ScanOptions: ScanOptions{DisableFilter: true},
 					})
 					if err != nil {
 						t.Fatal(err)

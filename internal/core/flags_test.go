@@ -43,7 +43,7 @@ func TestStrideAndPinnedReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []*Matcher{m1, mStt} {
-		got, err := m.FindAllUnfilteredStride1(data)
+		got, err := m.FindAllWith(data, ScanOptions{DisableFilter: true, DisableStride2: true})
 		if err != nil {
 			t.Fatal(err)
 		}

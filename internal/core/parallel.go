@@ -20,28 +20,20 @@ type ParallelOptions struct {
 	// call — the long-running-server mode. Many concurrent scans share
 	// the pool's fixed worker set.
 	Pool *parallel.Pool
-	// DisableFilter bypasses the matcher's skip-scan front-end for this
-	// call (the serving layer's per-request filter=off knob). Output is
-	// byte-identical either way.
-	DisableFilter bool
-	// DisableStride2 pins the kernel to its 1-byte scan loops for this
-	// call (the serving layer's per-request stride=1 knob). Output is
-	// byte-identical either way; no-op on non-stride-2 matchers.
-	DisableStride2 bool
+	// ScanOptions are the per-call opt-outs (the serving layer's
+	// filter=off and stride=1 knobs). Output is byte-identical either
+	// way.
+	ScanOptions
 }
 
-// engineOpts binds the matcher's live scan engine (the dense kernel,
-// the sharded multi-kernel tier, or nil for the stt/dfa path) into the
-// worker options. With the sharded tier live, the worker task set is
-// one item per (shard, chunk) so each worker keeps one shard's tables
-// hot. The skip-scan front-end, when live and not bypassed, runs per
-// chunk inside each worker; its skip counter feeds the matcher's
-// WindowsSkipped stat.
+// engineOpts binds the call's verifier (see Matcher.verifier) into
+// the worker options. The skip-scan front-end, when live and not
+// bypassed, runs per chunk inside each worker; its skip counter feeds
+// the matcher's WindowsSkipped stat.
 func (m *Matcher) engineOpts(o ParallelOptions) parallel.Options {
 	po := parallel.Options{
-		Workers: o.Workers, ChunkBytes: o.ChunkBytes,
-		Engine: m.eng, Compressed: m.comp, Sharded: m.sharded, Pool: o.Pool,
-		ForceStride1: o.DisableStride2,
+		Workers: o.Workers, ChunkBytes: o.ChunkBytes, Pool: o.Pool,
+		Verifier: m.verifier(o.ScanOptions),
 	}
 	if m.filter != nil && !o.DisableFilter {
 		po.Filter = m.filter

@@ -388,18 +388,7 @@ func Load(r io.Reader) (*Matcher, error) {
 			return nil, err
 		}
 	} else {
-		for _, p := range patterns {
-			if minLen == 0 || len(p) < minLen {
-				minLen = len(p)
-			}
-		}
+		minLen = shortest(patterns)
 	}
-	m := &Matcher{sys: sys, opts: opts, patterns: patterns, minLen: minLen, regex: regex}
-	if err := m.initEngine(); err != nil {
-		return nil, err
-	}
-	if err := m.initFilter(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return (&Matcher{sys: sys, opts: opts, patterns: patterns, minLen: minLen, regex: regex}).finish(nil, nil, nil)
 }

@@ -26,7 +26,7 @@ func stride2Matcher(t *testing.T, dict []string, extra func(*EngineOptions)) *Ma
 
 // The stride-2 rung must agree with the stt reference on every prefix
 // length (both parities of the odd tail) and every interleave lane
-// count, and the per-request FindAllStride1 opt-out must agree too.
+// count, and the per-request DisableStride2 opt-out must agree too.
 func TestStride2SplitPointEquivalence(t *testing.T) {
 	dict := []string{"abra", "abracadabra", "cadab", "ra r"}
 	data := []byte(strings.Repeat("abracadabra rabcad ", 10))
@@ -49,11 +49,11 @@ func TestStride2SplitPointEquivalence(t *testing.T) {
 			}
 			assertSameMatches(t, "stride2 interleaved", got, want)
 		}
-		got, err := lanes[1].FindAllStride1(prefix)
+		got, err := lanes[1].FindAllWith(prefix, ScanOptions{DisableStride2: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameMatches(t, "stride2 FindAllStride1", got, want)
+		assertSameMatches(t, "stride2 DisableStride2", got, want)
 	}
 }
 
@@ -74,7 +74,7 @@ func TestStride2ParallelSplitPoints(t *testing.T) {
 	}
 	for chunk := 1; chunk <= len(data); chunk++ {
 		for _, disable := range []bool{false, true} {
-			po := ParallelOptions{Workers: 3, ChunkBytes: chunk, DisableStride2: disable}
+			po := ParallelOptions{Workers: 3, ChunkBytes: chunk, ScanOptions: ScanOptions{DisableStride2: disable}}
 			got, err := m.FindAllParallel(data, po)
 			if err != nil {
 				t.Fatal(err)

@@ -68,7 +68,7 @@ type CarryScanner interface {
 }
 
 // Compile-time checks: both table representations satisfy the
-// streaming contract.
+// streaming contract (the stt rung's slot automata do too, see STT).
 var (
 	_ CarryScanner = (*Table)(nil)
 	_ CarryScanner = (*CTable)(nil)
@@ -913,6 +913,32 @@ func (e *Compressed) ScanChunk(piece []byte, base, dedupe int) []dfa.Match {
 		t.scanSerial(piece, base, dedupe, &out)
 	}
 	return out
+}
+
+var _ Verifier = (*Compressed)(nil)
+
+// Name reports the rung.
+func (e *Compressed) Name() string { return "compressed" }
+
+// Stride is 1: compressed rows step one byte per transition.
+func (e *Compressed) Stride() int { return 1 }
+
+// Units is 1: one table set scans every slot in one work item.
+func (e *Compressed) Units() int { return 1 }
+
+// ScanUnit is ScanChunk (the tier has a single unit).
+func (e *Compressed) ScanUnit(_ int, piece []byte, base, dedupe int) []dfa.Match {
+	return e.ScanChunk(piece, base, dedupe)
+}
+
+// CarryTables returns the per-slot compressed tables as carry scanners.
+func (e *Compressed) CarryTables() []CarryScanner { return carryScanners(e.Tables) }
+
+// Footprint reports the compressed tables, which are also the resident
+// working set.
+func (e *Compressed) Footprint() Footprint {
+	b := e.TableBytes()
+	return Footprint{CompressedTableBytes: b, Resident: b}
 }
 
 // Image serialization -------------------------------------------------

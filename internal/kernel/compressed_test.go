@@ -63,7 +63,7 @@ func TestCompressedScanChunk(t *testing.T) {
 	eng, comp := compileBoth(t, []string{"virus", "worm", "us"}, false)
 	data := testInput(4096, 7)
 	for _, dedupe := range []int{0, 3, 10} {
-		want := eng.ScanChunkStride1(data, 100, dedupe)
+		want := eng.ScanChunk(data, 100, dedupe)
 		got := comp.ScanChunk(data, 100, dedupe)
 		dfa.SortMatches(want)
 		dfa.SortMatches(got)

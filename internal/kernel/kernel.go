@@ -39,7 +39,14 @@
 //
 // Dictionaries whose dense tables exceed the configured budget (dense
 // rows cost width × 4 bytes per state) are rejected by Compile with
-// ErrBudget; callers fall back to the stt/dfa path.
+// ErrBudget; callers step down the selection ladder.
+//
+// Every rung of that ladder — the stride-2 and dense Engine, the
+// Compressed rows, the Sharded kernels, and the STT adapter over the
+// stt/dfa path — implements one contract, Verifier (verifier.go), and
+// its callers (core, parallel, the server) dispatch only through it.
+// Each rung lives in its own file; adding or removing one touches that
+// file plus the selection function in internal/core.
 package kernel
 
 import (
@@ -673,9 +680,8 @@ func (e *Engine) TableBytes() int {
 }
 
 // InterleaveFor reports the lane count the 1-byte loops use on an
-// input or piece of n bytes — FindAll, Count and ScanChunk at stride 1,
-// FindAllStride1 and ScanChunkStride1 on the stride-2 rung
-// (diagnostics and benchmarks).
+// input or piece of n bytes — FindAll, Count and ScanChunk at stride 1
+// and on the stride-2 rung's 1-byte view (diagnostics and benchmarks).
 func (e *Engine) InterleaveFor(n int) int { return chooseK(e.opts.InterleaveK, n, e.overlap()) }
 
 // pairK is the lane count of the stride-2 pair loops: serial unless
@@ -738,16 +744,6 @@ func (e *Engine) FindAllK(data []byte, k int) []dfa.Match {
 	return out
 }
 
-// FindAllStride1 is FindAll forced onto the 1-byte loops even when the
-// stride-2 pair tables are live — the per-request stride=1 opt-out the
-// serving layer exposes. Output is byte-identical to FindAll.
-func (e *Engine) FindAllStride1(data []byte) []dfa.Match {
-	var out []dfa.Match
-	e.scan1(data, 0, 0, e.InterleaveFor(len(data)), &out)
-	dfa.SortMatches(out)
-	return out
-}
-
 // scan1 runs every table's 1-byte loop over piece from the root as k
 // lanes (serially when k is 1 or piece is empty), keeping matches as
 // scanSerial does, and returns the kept count. It is the one loop
@@ -804,22 +800,48 @@ func (e *Engine) Count(data []byte) int {
 // rung keeps its serial pair loop. Output order is unspecified; the
 // caller merges and sorts.
 func (e *Engine) ScanChunk(piece []byte, base, dedupe int) []dfa.Match {
-	if e.stride != 2 {
-		return e.ScanChunkStride1(piece, base, dedupe)
-	}
 	var out []dfa.Match
+	if e.stride != 2 {
+		e.scan1(piece, base, dedupe, e.InterleaveFor(len(piece)), &out)
+		return out
+	}
 	for _, t := range e.Tables {
 		t.scanSerial2(piece, base, dedupe, &out)
 	}
 	return out
 }
 
-// ScanChunkStride1 is ScanChunk pinned to the 1-byte loops — the
-// parallel-path form of the per-request stride=1 opt-out.
-func (e *Engine) ScanChunkStride1(piece []byte, base, dedupe int) []dfa.Match {
-	var out []dfa.Match
-	e.scan1(piece, base, dedupe, e.InterleaveFor(len(piece)), &out)
-	return out
+var _ Verifier = (*Engine)(nil)
+
+// Name reports the rung: "stride2" with the pair tables live, else
+// "kernel".
+func (e *Engine) Name() string {
+	if e.stride == 2 {
+		return "stride2"
+	}
+	return "kernel"
+}
+
+// Units is 1: one engine scans every slot in one work item.
+func (e *Engine) Units() int { return 1 }
+
+// ScanUnit is ScanChunk (the engine has a single unit).
+func (e *Engine) ScanUnit(_ int, piece []byte, base, dedupe int) []dfa.Match {
+	return e.ScanChunk(piece, base, dedupe)
+}
+
+// CarryTables returns the per-slot tables as carry scanners.
+func (e *Engine) CarryTables() []CarryScanner { return carryScanners(e.Tables) }
+
+// Footprint reports the dense tables, plus the pair tables on the
+// stride-2 rung; both make up the resident working set there.
+func (e *Engine) Footprint() Footprint {
+	fp := Footprint{KernelTableBytes: e.TableBytes()}
+	if e.stride == 2 {
+		fp.PairTableBytes = e.PairBytes()
+	}
+	fp.Resident = fp.KernelTableBytes + fp.PairTableBytes
+	return fp
 }
 
 // Image serialization -------------------------------------------------

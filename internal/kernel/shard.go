@@ -31,7 +31,7 @@
 //     before the scan advances, so the input chunk stays cache-resident
 //     while the shard tables cycle through it — the single-Cell
 //     time-multiplexed schedule.
-//   - ScanShardChunk: the unit of the pool-fanned schedule. The
+//   - ScanUnit: the unit of the pool-fanned schedule. The
 //     parallel engine builds one work item per (shard, input chunk), so
 //     each worker holds one shard's tables hot while scanning — the
 //     multi-SPE schedule, one shard set per worker.
@@ -294,7 +294,7 @@ type ShardConfig struct {
 	// cores. Output is byte-identical at any worker count.
 	Workers int
 	// InterleaveK is the shards' Options.InterleaveK: the lane count of
-	// their chunk scans (ScanShardChunk), 0 for the chooseK rule.
+	// their chunk scans (ScanUnit), 0 for the chooseK rule.
 	InterleaveK int
 }
 
@@ -524,11 +524,39 @@ func (s *Sharded) Count(data []byte) int {
 	return count
 }
 
-// ScanShardChunk scans one piece against a single shard — the
+// ScanUnit scans one piece against a single shard — the
 // (shard × chunk) work item of the pool-fanned schedule, where each
 // worker keeps one shard's tables hot.
-func (s *Sharded) ScanShardChunk(shard int, piece []byte, base, dedupe int) []dfa.Match {
+func (s *Sharded) ScanUnit(shard int, piece []byte, base, dedupe int) []dfa.Match {
 	return s.Engines[shard].ScanChunk(piece, base, dedupe)
+}
+
+var _ Verifier = (*Sharded)(nil)
+
+// Name reports the rung.
+func (s *Sharded) Name() string { return "sharded" }
+
+// Stride is 1: shards pin the 1-byte kernel.
+func (s *Sharded) Stride() int { return 1 }
+
+// Units is the shard count: each chunk fans into one work item per
+// shard.
+func (s *Sharded) Units() int { return s.Shards() }
+
+// CarryTables flattens every shard's tables, in shard order.
+func (s *Sharded) CarryTables() []CarryScanner { return carryScanners(s.AllTables()) }
+
+// Footprint reports the aggregate and largest-shard dense tables; the
+// largest shard is the resident unit, since only one shard's tables are
+// hot at a time.
+func (s *Sharded) Footprint() Footprint {
+	largest := s.MaxShardBytes()
+	return Footprint{
+		KernelTableBytes:   s.TableBytes(),
+		Shards:             s.Shards(),
+		MaxShardTableBytes: largest,
+		Resident:           largest,
+	}
 }
 
 // Sharded image serialization ------------------------------------------

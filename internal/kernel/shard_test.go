@@ -281,11 +281,11 @@ func TestShardedScanShardChunkDedupe(t *testing.T) {
 		for start := 0; start < len(data); start += step {
 			end := min(start+step, len(data))
 			pre := min(ov, start)
-			perShard = append(perShard, sh.ScanShardChunk(si, data[start-pre:end], start-pre, pre)...)
+			perShard = append(perShard, sh.ScanUnit(si, data[start-pre:end], start-pre, pre)...)
 		}
 	}
 	dfa.SortMatches(perShard)
-	assertMatchesEqual(t, "ScanShardChunk", perShard, want)
+	assertMatchesEqual(t, "ScanUnit", perShard, want)
 }
 
 func TestShardedImageRoundTrip(t *testing.T) {

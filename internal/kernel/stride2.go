@@ -56,6 +56,20 @@ import (
 // only an explicit Stride=2 builds pairs (budget permitting).
 const AutoStride2MaxClasses = 64
 
+// OneByte returns v's 1-byte view: on the stride-2 rung an engine that
+// shares v's tables but scans with the 1-byte loops (the per-request
+// stride=1 opt-out), on every other rung v itself. Output is
+// byte-identical either way.
+func OneByte(v Verifier) Verifier {
+	e, ok := v.(*Engine)
+	if !ok || e.stride != 2 {
+		return v
+	}
+	view := *e
+	view.stride = 1
+	return &view
+}
+
 // pairRow converts an encoded 1-byte row index to the same state's
 // pair row index.
 func (t *Table) pairRow(row uint32) uint32 {

@@ -117,7 +117,7 @@ func TestStrideAutoClassGate(t *testing.T) {
 }
 
 // The stride-2 rung must agree with the 1-byte kernel for every lane
-// count and odd/even input length: FindAllK, FindAllStride1, Count.
+// count and odd/even input length: FindAllK, the 1-byte view, Count.
 func TestStride2FindAllEquivalence(t *testing.T) {
 	s2 := compileStride(t, stridePatterns, Options{Stride: 2})
 	s1 := compileStride(t, stridePatterns, Options{Stride: 1})
@@ -130,8 +130,8 @@ func TestStride2FindAllEquivalence(t *testing.T) {
 		if got := s2.FindAll(data); !matchesEqual(got, want) {
 			t.Fatalf("n=%d: stride-2 FindAll diverged: %d vs %d matches", n, len(got), len(want))
 		}
-		if got := s2.FindAllStride1(data); !matchesEqual(got, want) {
-			t.Fatalf("n=%d: FindAllStride1 on stride-2 engine diverged", n)
+		if got := OneByte(s2).FindAll(data); !matchesEqual(got, want) {
+			t.Fatalf("n=%d: 1-byte view of the stride-2 engine diverged", n)
 		}
 		for k := 1; k <= 8; k++ {
 			if got := s2.FindAllK(data, k); !matchesEqual(got, want) {
@@ -243,8 +243,8 @@ func TestStride2ChunkDedupe(t *testing.T) {
 		if !matchesEqual(got, want) {
 			t.Fatalf("dedupe=%d: stride-2 chunk scan diverged: %d vs %d", dedupe, len(got), len(want))
 		}
-		if got := s2.ScanChunkStride1(data, 1000, dedupe); !matchesEqual(got, want) {
-			t.Fatalf("dedupe=%d: ScanChunkStride1 diverged", dedupe)
+		if got := OneByte(s2).ScanUnit(0, data, 1000, dedupe); !matchesEqual(got, want) {
+			t.Fatalf("dedupe=%d: 1-byte view ScanUnit diverged", dedupe)
 		}
 	}
 	_ = dfa.Match{}

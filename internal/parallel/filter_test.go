@@ -53,8 +53,8 @@ func TestScanFilteredEquivalence(t *testing.T) {
 	}
 	engines := map[string]Options{
 		"stt":     {Filter: f},
-		"kernel":  {Filter: f, Engine: eng},
-		"sharded": {Filter: f, Sharded: sharded},
+		"kernel":  {Filter: f, Verifier: eng},
+		"sharded": {Filter: f, Verifier: sharded},
 	}
 	for name, base := range engines {
 		for _, chunk := range []int{1, 2, 3, 7, 64, 500, 4096, 9000} {
@@ -116,7 +116,7 @@ func TestScanFilteredSkipCounter(t *testing.T) {
 	if sharded.Shards() < 2 {
 		t.Fatalf("fixture needs >= 2 shards, got %d", sharded.Shards())
 	}
-	o = Options{Filter: f, FilterSkipped: &pooled, Sharded: sharded, Workers: 2, ChunkBytes: 512}
+	o = Options{Filter: f, FilterSkipped: &pooled, Verifier: sharded, Workers: 2, ChunkBytes: 512}
 	if _, err := Scan(sys, data, o); err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,12 @@
 // scan — same match set, same (End, Pattern) order — for every
 // worker count and chunk size, which the differential fuzz target
 // FuzzParallelEquivalence asserts.
+//
+// The package is written once against the kernel.Verifier contract:
+// Options.Verifier is the single dispatch point, each chunk fans into
+// Verifier.Units() work items scanned by Verifier.ScanUnit with the
+// overlap prefix as the dedupe offset, and no code here names a rung.
+// Adding or removing a rung therefore never touches this package.
 package parallel
 
 import (
@@ -50,21 +56,14 @@ type Options struct {
 	// DefaultChunkBytes. Chunks smaller than the longest pattern are
 	// legal (the overlap window is clamped to the available prefix).
 	ChunkBytes int
-	// Engine, when non-nil, scans chunks with the dense compiled
-	// kernel (raw bytes, reduction baked in) instead of the
-	// reduce + dfa.FindAll path. Results are identical.
-	Engine *kernel.Engine
-	// Compressed, when non-nil, scans chunks with the compressed-row
-	// tier (bitmap rows + default-pointer chains). Takes precedence
-	// over Engine. Results are identical.
-	Compressed *kernel.Compressed
-	// Sharded, when non-nil, scans with the sharded multi-kernel
-	// engine: the task set becomes one work item per (shard, chunk), so
-	// each worker keeps a single shard's tables cache-hot while
-	// scanning — the paper's one-shard-per-SPE schedule mapped onto the
-	// pool. Takes precedence over Engine and Compressed. Results are
-	// identical.
-	Sharded *kernel.Sharded
+	// Verifier scans each chunk: any rung of the selection ladder
+	// (kernel.Verifier), the one dispatch point of this package. Each
+	// chunk fans into Verifier.Units() work items — one per shard on the
+	// sharded rung, so each worker keeps a single shard's tables
+	// cache-hot (the paper's one-shard-per-SPE schedule mapped onto the
+	// pool). Nil means the stt path over the composed system
+	// (kernel.NewSTT). Results are identical on every rung.
+	Verifier kernel.Verifier
 	// Pool, when non-nil, submits chunk jobs to a persistent shared
 	// worker pool instead of spawning goroutines per call — the
 	// long-running-server mode, where many concurrent scans coalesce
@@ -84,13 +83,12 @@ type Options struct {
 	// Each chunk is filtered once, shared across the sharded engine's
 	// per-shard work items, so the stat counts every chunk exactly once.
 	FilterSkipped *atomic.Uint64
-	// ForceStride1 pins Engine to its 1-byte scan loops even when its
-	// 2-byte-stride pair tables are live — the per-request stride=1
-	// opt-out. Results are identical either way.
-	ForceStride1 bool
 }
 
-func (o Options) withDefaults() Options {
+func (o Options) withDefaults(sys *compose.System) Options {
+	if o.Verifier == nil {
+		o.Verifier = kernel.NewSTT(sys)
+	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -113,29 +111,27 @@ func overlapOf(sys *compose.System) int {
 // speculative scan, returning global-offset matches sorted by
 // (End, Pattern) — the exact output of compose.System.Scan.
 func Scan(sys *compose.System, data []byte, opts Options) ([]dfa.Match, error) {
-	o := opts.withDefaults()
-	chunks := scanChunks(sys, data, overlapOf(sys), o)
+	o := opts.withDefaults(sys)
+	chunks := scanChunks(data, overlapOf(sys), o)
 	out := mergeChunks(chunks, 0, 0)
 	return out, nil
 }
 
 // scanChunks splits raw data into ChunkBytes-sized pieces and scans
 // them on a pool of Workers goroutines (or Options.Pool's shared
-// workers). Alphabet reduction happens per chunk inside each worker
-// (it is a byte-wise map, so chunking commutes with it), keeping the
-// whole pipeline parallel and the extra memory O(Workers x ChunkBytes)
-// instead of O(input). Each chunk fans into one work item per shard
-// unit (see shardUnits); results[i*units+u] holds chunk i / unit u's
+// workers), keeping the extra memory O(Workers x ChunkBytes) instead
+// of O(input). Each chunk fans into one work item per verifier unit
+// (Verifier.Units); results[i*units+u] holds chunk i / unit u's
 // matches in data's coordinates, already deduplicated against chunk
 // i-1's overlap. The flat slice order is irrelevant downstream —
 // mergeChunks re-sorts globally.
-func scanChunks(sys *compose.System, data []byte, overlap int, o Options) [][]dfa.Match {
+func scanChunks(data []byte, overlap int, o Options) [][]dfa.Match {
 	n := len(data)
 	if n == 0 {
 		return nil
 	}
 	nchunks := (n + o.ChunkBytes - 1) / o.ChunkBytes
-	units := o.shardUnits()
+	units := o.Verifier.Units()
 	results := make([][]dfa.Match, nchunks*units)
 	tasks := make([]func(), 0, nchunks*units)
 	for i := 0; i < nchunks; i++ {
@@ -146,7 +142,7 @@ func scanChunks(sys *compose.System, data []byte, overlap int, o Options) [][]df
 		for u := 0; u < units; u++ {
 			i, u := i, u
 			tasks = append(tasks, func() {
-				results[i*units+u] = scanPiece(sys, data[start-ov:end], start-ov, ov, o, u, segs)
+				results[i*units+u] = scanPiece(data[start-ov:end], start-ov, ov, o, u, segs)
 			})
 		}
 	}
@@ -172,66 +168,23 @@ func (o Options) segmentProvider(piece []byte) func() []filter.Segment {
 	})
 }
 
-// shardUnits is how many work items one input chunk fans into: one per
-// shard on the sharded engine (each worker holds one shard's tables),
-// one otherwise.
-func (o Options) shardUnits() int {
-	if o.Sharded != nil {
-		return o.Sharded.Shards()
-	}
-	return 1
-}
-
 // scanPiece scans one overlap-prefixed piece from the speculative root
-// on whichever engine is configured, returning data-coordinate matches
-// with the ov-byte overlap prefix deduplicated. unit selects the shard
-// on the sharded engine (callers fan one task per shard) and is
-// ignored otherwise; segs is the chunk's shared segment provider (nil
-// when the filter is off).
-func scanPiece(sys *compose.System, piece []byte, base, ov int, o Options, unit int, segs func() []filter.Segment) []dfa.Match {
-	if segs != nil {
-		return scanPieceFiltered(sys, piece, base, ov, o, unit, segs)
+// with verifier unit unit, returning data-coordinate matches with the
+// ov-byte overlap prefix deduplicated. segs is the chunk's shared
+// segment provider (nil when the filter is off): then only the piece's
+// candidate segments are verified, each from the root. Any match fully
+// inside the piece starts at a candidate and lies wholly inside one
+// segment (the filter's containment guarantee applied to the piece as
+// an isolated text), so the segment union reports exactly the matches
+// the whole-piece scan would; the overlap dedupe then drops matches
+// ending inside the ov-byte prefix as usual.
+func scanPiece(piece []byte, base, ov int, o Options, unit int, segs func() []filter.Segment) []dfa.Match {
+	if segs == nil {
+		return o.Verifier.ScanUnit(unit, piece, base, ov)
 	}
-	return scanPieceEngine(sys, piece, base, ov, o, unit)
-}
-
-// scanPieceEngine is the unfiltered per-piece scan on the configured
-// engine.
-func scanPieceEngine(sys *compose.System, piece []byte, base, ov int, o Options, unit int) []dfa.Match {
-	if o.Sharded != nil {
-		return o.Sharded.ScanShardChunk(unit, piece, base, ov)
-	}
-	if o.Compressed != nil {
-		// Compressed tables always step one byte per transition, so the
-		// stride-1 pin is a no-op here.
-		return o.Compressed.ScanChunk(piece, base, ov)
-	}
-	if o.Engine != nil {
-		// The kernel consumes raw bytes (reduction baked into its
-		// byte→class map): no scratch copy at all.
-		if o.ForceStride1 {
-			return o.Engine.ScanChunkStride1(piece, base, ov)
-		}
-		return o.Engine.ScanChunk(piece, base, ov)
-	}
-	scratch := getScratch(len(piece))
-	defer putScratch(scratch)
-	sys.Red.Apply(*scratch, piece)
-	return scanChunk(sys, *scratch, base, ov)
-}
-
-// scanPieceFiltered verifies only the piece's candidate segments, each
-// from the root. Any match fully inside the piece starts at a
-// candidate and lies wholly inside one segment (the filter's
-// containment guarantee applied to the piece as an isolated text), so
-// the segment union reports exactly the matches the whole-piece scan
-// would; the overlap dedupe then drops matches ending inside the
-// ov-byte prefix as usual.
-func scanPieceFiltered(sys *compose.System, piece []byte, base, ov int, o Options, unit int, segments func() []filter.Segment) []dfa.Match {
 	var out []dfa.Match
-	for _, sg := range segments() {
-		ms := scanPieceEngine(sys, piece[sg.Start:sg.End], base+sg.Start, 0, o, unit)
-		for _, mt := range ms {
+	for _, sg := range segs() {
+		for _, mt := range o.Verifier.ScanUnit(unit, piece[sg.Start:sg.End], base+sg.Start, 0) {
 			if mt.End-base <= ov {
 				continue // ends inside the reconciliation window
 			}
@@ -274,28 +227,6 @@ func runTasks(o Options, tasks []func()) {
 	wg.Wait()
 }
 
-// scanChunk runs every series slot over one reduced piece (overlap
-// prefix included) from the speculative root state, reusing the same
-// dfa.FindAll the sequential path is built on. Matches ending inside
-// the ov-byte overlap prefix are duplicates of the previous chunk and
-// dropped; the rest are shifted by base into data coordinates.
-func scanChunk(sys *compose.System, piece []byte, base, ov int) []dfa.Match {
-	var out []dfa.Match
-	for slot, d := range sys.Slots {
-		ids := sys.SlotPatterns[slot]
-		for _, m := range d.FindAll(piece) {
-			if m.End <= ov {
-				continue // ends inside the reconciliation window
-			}
-			out = append(out, dfa.Match{
-				Pattern: int32(ids[m.Pattern]),
-				End:     base + m.End,
-			})
-		}
-	}
-	return out
-}
-
 // mergeChunks flattens per-chunk results into one sorted slice,
 // dropping matches whose local End is <= dedupe (already reported by
 // a previous reader batch) and shifting the rest by base.
@@ -327,9 +258,9 @@ func mergeChunks(chunks [][]dfa.Match, base, dedupe int) []dfa.Match {
 // each. Payloads larger than ChunkBytes are still chunked with the
 // usual overlap reconciliation.
 func ScanMany(sys *compose.System, payloads [][]byte, opts Options) ([][]dfa.Match, error) {
-	o := opts.withDefaults()
+	o := opts.withDefaults(sys)
 	overlap := overlapOf(sys)
-	units := o.shardUnits()
+	units := o.Verifier.Units()
 	out := make([][]dfa.Match, len(payloads))
 	perPayload := make([][][]dfa.Match, len(payloads))
 	var tasks []func()
@@ -348,7 +279,7 @@ func ScanMany(sys *compose.System, payloads [][]byte, opts Options) ([][]dfa.Mat
 			for u := 0; u < units; u++ {
 				pi, ci, u, data := pi, ci, u, data
 				tasks = append(tasks, func() {
-					perPayload[pi][ci*units+u] = scanPiece(sys, data[start-ov:end], start-ov, ov, o, u, segs)
+					perPayload[pi][ci*units+u] = scanPiece(data[start-ov:end], start-ov, ov, o, u, segs)
 				})
 			}
 		}
@@ -366,7 +297,7 @@ func ScanMany(sys *compose.System, payloads [][]byte, opts Options) ([][]dfa.Mat
 // identical to Scan over the reader's whole contents; memory is
 // O(Workers x ChunkBytes + matches), not O(input).
 func ScanReader(sys *compose.System, r io.Reader, opts Options) ([]dfa.Match, error) {
-	o := opts.withDefaults()
+	o := opts.withDefaults(sys)
 	overlap := overlapOf(sys)
 	batch := o.Workers * o.ChunkBytes
 	if batch/o.Workers != o.ChunkBytes { // overflow
@@ -387,7 +318,7 @@ func ScanReader(sys *compose.System, r io.Reader, opts Options) ([]dfa.Match, er
 			}
 		}
 		data := buf[:carry+n]
-		chunks := scanChunks(sys, data, overlap, o)
+		chunks := scanChunks(data, overlap, o)
 		out = append(out, mergeChunks(chunks, base, carry)...)
 		keep := min(overlap, len(data))
 		copy(buf, data[len(data)-keep:])

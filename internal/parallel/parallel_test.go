@@ -71,7 +71,7 @@ func TestScanKernelEngine(t *testing.T) {
 	data := repeatedText(10000)
 	want := sequential(t, sys, data)
 	for _, chunk := range []int{1, 2, 3, 7, 64, 1000, 20000} {
-		opts := Options{Workers: 4, ChunkBytes: chunk, Engine: eng}
+		opts := Options{Workers: 4, ChunkBytes: chunk, Verifier: eng}
 		got, err := Scan(sys, data, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -250,14 +250,18 @@ func TestScanConcurrentUse(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
+	sys := mustSystem(t, testDict)
+	o := Options{}.withDefaults(sys)
+	if o.Verifier == nil || o.Verifier.Name() != "stt" {
+		t.Fatalf("default verifier %v, want the stt path", o.Verifier)
+	}
 	if o.Workers < 1 {
 		t.Fatalf("default workers %d", o.Workers)
 	}
 	if o.ChunkBytes != DefaultChunkBytes {
 		t.Fatalf("default chunk %d", o.ChunkBytes)
 	}
-	o = Options{Workers: -3, ChunkBytes: -1}.withDefaults()
+	o = Options{Workers: -3, ChunkBytes: -1}.withDefaults(sys)
 	if o.Workers < 1 || o.ChunkBytes != DefaultChunkBytes {
 		t.Fatalf("negative options not normalized: %+v", o)
 	}

@@ -119,22 +119,3 @@ func (p *Pool) trySubmit(job func()) (ok bool) {
 		return false
 	}
 }
-
-// scratchPool recycles reduction buffers across chunk jobs on the
-// stt/dfa path (the kernel engine scans raw bytes and needs none).
-// Pointer-to-slice entries keep Put allocation-free (staticcheck
-// SA6002).
-var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
-
-func getScratch(n int) *[]byte {
-	p := scratchPool.Get().(*[]byte)
-	if cap(*p) < n {
-		*p = make([]byte, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putScratch(p *[]byte) {
-	scratchPool.Put(p)
-}

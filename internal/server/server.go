@@ -373,16 +373,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	}
 	var matches []core.Match
 	if mode == "seq" {
-		switch {
-		case opts.DisableFilter && opts.DisableStride2:
-			matches, err = e.Matcher.FindAllUnfilteredStride1(data)
-		case opts.DisableFilter:
-			matches, err = e.Matcher.FindAllUnfiltered(data)
-		case opts.DisableStride2:
-			matches, err = e.Matcher.FindAllStride1(data)
-		default:
-			matches, err = e.Matcher.FindAll(data)
-		}
+		matches, err = e.Matcher.FindAllWith(data, opts.ScanOptions)
 	} else {
 		matches, err = e.Matcher.FindAllParallel(data, opts)
 	}
@@ -475,7 +466,7 @@ func (s *Server) handleScanBatch(w http.ResponseWriter, r *http.Request) {
 		// coalescing proceeds.
 		matches, err = e.Matcher.FindAllParallel(data, core.ParallelOptions{
 			ChunkBytes: s.cfg.ChunkBytes, Pool: s.pool,
-			DisableFilter: disableFilter, DisableStride2: disableStride2,
+			ScanOptions: core.ScanOptions{DisableFilter: disableFilter, DisableStride2: disableStride2},
 		})
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
