@@ -414,6 +414,49 @@ func BenchmarkSTTLookupSequential(b *testing.B) {
 	}
 }
 
+// benchKernelBigDict scans 8 MiB of traffic with the 30000-state
+// workload dictionary (the served bigdict-churn shape) compiled under
+// opts, on the dense kernel with the filter off.
+func benchKernelBigDict(b *testing.B, opts core.Options) {
+	pats, err := workload.Dictionary(workload.DictConfig{TargetStates: 30000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts.CaseFold = true
+	opts.Engine = core.EngineOptions{Filter: core.FilterOff}
+	m, err := core.Compile(pats, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if got := m.Stats().Engine; got != "kernel" {
+		b.Fatalf("engine = %q, want kernel", got)
+	}
+	data, _, err := workload.Traffic(workload.TrafficConfig{
+		Bytes: 8 << 20, MatchEvery: 64 << 10, Dictionary: pats, Seed: 21,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.FindAll(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(m.Stats().Slots), "slots")
+}
+
+// BenchmarkKernelBigDictOneSlot scans the big dictionary as the one
+// host automaton its dense table fits.
+func BenchmarkKernelBigDictOneSlot(b *testing.B) { benchKernelBigDict(b, core.Options{}) }
+
+// BenchmarkKernelBigDictTiles scans the same dictionary on the Figure 3
+// tiling, one pass per 1520-state tile.
+func BenchmarkKernelBigDictTiles(b *testing.B) {
+	benchKernelBigDict(b, core.Options{MaxStatesPerTile: 1520})
+}
+
 // BenchmarkKernelParallel composes both engines: the chunked
 // goroutine scan with the dense kernel underneath.
 func BenchmarkKernelParallel4Workers(b *testing.B) {

@@ -282,17 +282,26 @@ func DualBlade() Blade { return cell.DualBlade() }
 // other apparatus, so the matcher and the daemon do not link the
 // simulator.
 func EstimateCell(m *Matcher, blade Blade, inputBytes int64) (Estimate, error) {
-	d, err := cell.Plan(m.System(), blade, m.Options().Version)
+	sys, err := m.CellSystem()
+	if err != nil {
+		return Estimate{}, err
+	}
+	d, err := cell.Plan(sys, blade, m.Options().Version)
 	if err != nil {
 		return Estimate{}, err
 	}
 	return d.Estimate(inputBytes), nil
 }
 
-// Table1 regenerates the paper's Table 1 on m's largest series slot.
+// Table1 regenerates the paper's Table 1 on the largest tile of m's
+// Figure 3 tiling.
 func Table1(m *Matcher) ([]Table1Row, error) {
+	sys, err := m.CellSystem()
+	if err != nil {
+		return nil, err
+	}
 	var biggest *dfa.DFA
-	for _, d := range m.System().Slots {
+	for _, d := range sys.Slots {
 		if biggest == nil || d.NumStates() > biggest.NumStates() {
 			biggest = d
 		}

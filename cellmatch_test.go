@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"cellmatch"
+	"cellmatch/internal/workload"
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -37,6 +39,59 @@ func TestEstimateCellHeadline(t *testing.T) {
 	}
 	if est.SimulatedGbps < 10 {
 		t.Fatalf("2-group estimate = %.2f Gbps, want >= 10 (paper headline)", est.SimulatedGbps)
+	}
+}
+
+// TestCellModelOnHostSlot: a dictionary that scans as one host slot
+// keeps its Figure 3 Cell model. Stats' paper fields, EstimateCell and
+// Table1 equal those of the same dictionary on pinned 1520-state tiles
+// — the tiling every default compile took before host slots — and the
+// figures that tiling has always reported.
+func TestCellModelOnHostSlot(t *testing.T) {
+	pats, err := workload.Dictionary(workload.DictConfig{TargetStates: 6000, Seed: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := cellmatch.Compile(pats, cellmatch.Options{CaseFold: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiles, err := cellmatch.Compile(pats, cellmatch.Options{CaseFold: true, MaxStatesPerTile: 1520})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs, ts := host.Stats(), tiles.Stats()
+	if hs.Slots != 1 || ts.Slots != 5 {
+		t.Fatalf("slots: host %d, tiled %d; want 1 and 5", hs.Slots, ts.Slots)
+	}
+	paper := func(m *cellmatch.Matcher) [5]int {
+		s := m.Stats()
+		return [5]int{s.States, s.SeriesDepth, s.TilesRequired, s.STTBytes, s.Groups}
+	}
+	if want := [5]int{6069, 5, 5, 776832, 1}; paper(host) != want || paper(tiles) != want {
+		t.Fatalf("paper fields: host %v, tiled %v, want %v", paper(host), paper(tiles), want)
+	}
+	he, err := cellmatch.EstimateCell(host, cellmatch.DefaultBlade(), 8<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	te, err := cellmatch.EstimateCell(tiles, cellmatch.DefaultBlade(), 8<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if he != te || he.TilesUsed != 5 {
+		t.Fatalf("EstimateCell: host %+v, tiled %+v", he, te)
+	}
+	hr, err := cellmatch.Table1(host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := cellmatch.Table1(tiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(hr, tr) || hr[3].TotalCycles != 77816 {
+		t.Fatalf("Table1 differs on the host slot: %+v vs %+v", hr[3], tr[3])
 	}
 }
 

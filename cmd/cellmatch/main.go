@@ -113,15 +113,19 @@ func main() {
 		s := m.Stats()
 		fmt.Printf("patterns=%d states=%d stt_bytes=%d groups=%d series=%d tiles=%d alphabet=%d\n",
 			s.Patterns, s.States, s.STTBytes, s.Groups, s.SeriesDepth, s.TilesRequired, s.AlphabetUsed)
-		fmt.Printf("engine=%s kernel_table_bytes=%d budget=%d fits_l1=%v fits_l2=%v\n",
-			s.Engine, s.KernelTableBytes, s.DenseTableBudget, s.TableFitsL1, s.TableFitsL2)
+		fmt.Printf("engine=%s slots=%d kernel_table_bytes=%d budget=%d fits_l1=%v fits_l2=%v\n",
+			s.Engine, s.Slots, s.KernelTableBytes, s.DenseTableBudget, s.TableFitsL1, s.TableFitsL2)
 		fmt.Printf("filter=%v window=%d min_pattern_len=%d\n",
 			s.FilterEnabled, s.FilterWindow, s.MinPatternLen)
 		fmt.Printf("stride=%d pair_table_bytes=%d compressed_table_bytes=%d\n",
 			s.Stride, s.PairTableBytes, s.CompressedTableBytes)
 	}
 	if *estimate {
-		d, err := cell.Plan(m.System(), cell.DefaultBlade(), m.Options().Version)
+		sys, err := m.CellSystem()
+		if err != nil {
+			fail(err)
+		}
+		d, err := cell.Plan(sys, cell.DefaultBlade(), m.Options().Version)
 		if err != nil {
 			fail(err)
 		}

@@ -195,7 +195,7 @@ func run(ctx context.Context, w io.Writer, args []string) error {
 		if err != nil {
 			return fmt.Errorf("tenant %s: %w", tn, err)
 		}
-		st := entry.Matcher.Stats()
+		st := entry.Matcher.LiveStats()
 		prefix := ""
 		if tn != registry.DefaultTenant {
 			prefix = "tenant " + tn + ": "
@@ -227,7 +227,7 @@ func run(ctx context.Context, w io.Writer, args []string) error {
 				return
 			}
 			fmt.Fprintf(w, "cellmatchd: tenant %s: hot-swapped to generation %d (%d patterns)\n",
-				tenant, e.Generation, e.Matcher.Stats().Patterns)
+				tenant, e.Generation, e.Matcher.NumPatterns())
 		})
 	}
 

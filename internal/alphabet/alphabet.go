@@ -25,14 +25,20 @@ type Reduction struct {
 	Width int
 }
 
-// widthFor returns the smallest power of two >= n, minimum 2.
-func widthFor(n int) int {
+// RowWidth returns the smallest power of two >= n, minimum 2: the row
+// width of a table over n symbols, in the STT tiles and the host dense
+// kernel alike (so row indexes always keep bit 0 free for flags).
+func RowWidth(n int) int {
 	w := 2
 	for w < n {
 		w *= 2
 	}
 	return w
 }
+
+// KernelRowBytes is one state's row in the host dense kernel over r:
+// RowWidth(Classes) entries of 4 bytes.
+func (r *Reduction) KernelRowBytes() int { return RowWidth(r.Classes) * 4 }
 
 // Identity returns the trivial 256-symbol (no reduction) mapping.
 func Identity() *Reduction {
@@ -72,15 +78,16 @@ func FromPatterns(patterns [][]byte, caseFold bool, maxClasses int) (*Reduction,
 		return b
 	}
 	// Assign classes in first-appearance order; class 0 is "other".
-	classOf := make(map[byte]byte)
-	next := byte(1)
+	// classOf is indexed by canonical byte; 0 means "not seen yet".
+	var classOf [256]int
+	next := 1
 	for _, p := range patterns {
 		for _, raw := range p {
 			b := canon(raw)
-			if _, ok := classOf[b]; ok {
+			if classOf[b] != 0 {
 				continue
 			}
-			if int(next) >= maxClasses {
+			if next >= maxClasses {
 				return nil, fmt.Errorf(
 					"alphabet: patterns use more than %d distinct symbols", maxClasses-1)
 			}
@@ -88,11 +95,9 @@ func FromPatterns(patterns [][]byte, caseFold bool, maxClasses int) (*Reduction,
 			next++
 		}
 	}
-	r := &Reduction{Classes: int(next), Width: widthFor(maxClasses)}
-	for i := 0; i < 256; i++ {
-		if c, ok := classOf[canon(byte(i))]; ok {
-			r.Map[i] = c
-		}
+	r := &Reduction{Classes: next, Width: RowWidth(maxClasses)}
+	for i := range r.Map {
+		r.Map[i] = byte(classOf[canon(byte(i))])
 	}
 	return r, nil
 }
@@ -128,7 +133,7 @@ func FromSets(sets [][256]bool) (*Reduction, error) {
 		r.Map[b] = c
 	}
 	r.Classes = len(sig)
-	r.Width = widthFor(r.Classes)
+	r.Width = RowWidth(r.Classes)
 	return r, nil
 }
 

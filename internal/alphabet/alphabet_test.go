@@ -2,6 +2,8 @@ package alphabet
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -197,5 +199,67 @@ func TestForDictionaryFallback(t *testing.T) {
 	}
 	if r.Width != 256 || r.Classes < 48 {
 		t.Fatalf("wide dictionary got width %d classes %d", r.Width, r.Classes)
+	}
+}
+
+// mapFromPatterns is the map-based FromPatterns the [256] class table
+// replaced, kept as the oracle for its first-appearance numbering.
+func mapFromPatterns(patterns [][]byte, caseFold bool, maxClasses int) (*Reduction, error) {
+	canon := func(b byte) byte {
+		if caseFold && b >= 'a' && b <= 'z' {
+			return b - 'a' + 'A'
+		}
+		return b
+	}
+	classOf := make(map[byte]byte)
+	next := byte(1)
+	for _, p := range patterns {
+		for _, raw := range p {
+			b := canon(raw)
+			if _, ok := classOf[b]; ok {
+				continue
+			}
+			if int(next) >= maxClasses {
+				return nil, fmt.Errorf(
+					"alphabet: patterns use more than %d distinct symbols", maxClasses-1)
+			}
+			classOf[b] = next
+			next++
+		}
+	}
+	r := &Reduction{Classes: int(next), Width: RowWidth(maxClasses)}
+	for i := 0; i < 256; i++ {
+		if c, ok := classOf[canon(byte(i))]; ok {
+			r.Map[i] = c
+		}
+	}
+	return r, nil
+}
+
+// TestFromPatternsMatchesMapOracle holds FromPatterns to the map-based
+// construction on random dictionaries: same reduction (map, classes,
+// width) or the same overflow error, with and without case folding.
+func TestFromPatternsMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		span := 1 + rng.Intn(256) // byte range the patterns draw from
+		pats := make([][]byte, 1+rng.Intn(20))
+		for i := range pats {
+			pats[i] = make([]byte, 1+rng.Intn(10))
+			for j := range pats[i] {
+				pats[i][j] = byte(rng.Intn(span))
+			}
+		}
+		caseFold := trial%2 == 0
+		for _, maxClasses := range []int{2, 32, 256} {
+			want, werr := mapFromPatterns(pats, caseFold, maxClasses)
+			got, gerr := FromPatterns(pats, caseFold, maxClasses)
+			if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+				t.Fatalf("trial %d max %d: error %v, oracle %v", trial, maxClasses, gerr, werr)
+			}
+			if werr == nil && *got != *want {
+				t.Fatalf("trial %d max %d: reduction differs from the oracle", trial, maxClasses)
+			}
+		}
 	}
 }

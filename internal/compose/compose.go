@@ -12,10 +12,18 @@
 //
 // The package also contains the dictionary partitioner that splits a
 // pattern set into tile-sized Aho-Corasick automata under the
-// Figure 3 state budgets.
+// Figure 3 state budgets. Those tiles are the Cell model: a 256 KB
+// local store holds one 1520-state tile, so the paper chains tiles in
+// series to serve a larger dictionary. A host core has no such wall.
+// When Config.HostTableBytes admits it, a literal dictionary whose
+// whole automaton fits the host kernel's dense-table budget composes
+// as one slot and every input byte passes through one table, not one
+// per tile. System.CellTiling and System.CellTileStates recover the
+// Figure 3 tiling of such a system for the Cell model.
 package compose
 
 import (
+	"errors"
 	"fmt"
 
 	"cellmatch/internal/alphabet"
@@ -78,89 +86,98 @@ func Partition(patterns [][]byte, red *alphabet.Reduction, maxStates int) ([][]i
 	if maxStates < 2 {
 		return nil, fmt.Errorf("compose: maxStates %d too small", maxStates)
 	}
-	return partitionFrom(patterns, red, maxStates, 0)
+	groups, _, err := partitionFrom(patterns, red, maxStates, 0)
+	return groups, err
 }
 
 // partitionFrom runs the greedy group packer over patterns[startID:]
-// with a fresh trie, emitting groups of global ids (offset by startID).
-// It is the shared tail of Partition and of the delta path's
-// append-only fast partitioning, which reuses the previous build's
-// group boundaries for the untouched prefix and resumes the greedy walk
-// at the start of the last previous group.
-func partitionFrom(patterns [][]byte, red *alphabet.Reduction, maxStates, startID int) ([][]int, error) {
+// with a fresh trie, emitting groups of global ids (offset by startID)
+// and each group's automaton state count. It is the shared tail of
+// Partition, of CellTileStates, and of the delta path's append-only
+// fast partitioning, which reuses the previous build's group
+// boundaries for the untouched prefix and resumes the greedy walk at
+// the start of the last previous group.
+func partitionFrom(patterns [][]byte, red *alphabet.Reduction, maxStates, startID int) ([][]int, []int, error) {
 	var groups [][]int
+	var states []int
 	var cur []int
-	trie := newTrieCounter()
+	trie := newTrieCounter(red)
 	for i, p := range patterns[startID:] {
 		id := startID + i
-		if len(p) == 0 {
-			return nil, fmt.Errorf("compose: pattern %d empty", id)
+		if err := checkPattern(id, p, maxStates); err != nil {
+			return nil, nil, err
 		}
-		if len(p)+1 > maxStates {
-			return nil, fmt.Errorf(
-				"compose: pattern %d needs %d states, budget is %d", id, len(p)+1, maxStates)
-		}
-		added := trie.wouldAdd(red.Reduce(p))
-		if trie.nodes+added > maxStates && len(cur) > 0 {
-			groups = append(groups, cur)
+		if trie.nodes+trie.wouldAdd(p) > maxStates && len(cur) > 0 {
+			groups, states = append(groups, cur), append(states, trie.nodes)
 			cur = nil
-			trie = newTrieCounter()
+			trie.reset()
 		}
-		trie.insert(red.Reduce(p))
+		trie.insert(p)
 		cur = append(cur, id)
 	}
 	if len(cur) > 0 {
-		groups = append(groups, cur)
+		groups, states = append(groups, cur), append(states, trie.nodes)
 	}
-	return groups, nil
+	return groups, states, nil
 }
 
-// trieCounter incrementally counts Aho-Corasick goto-trie nodes.
+// checkPattern rejects what no Figure 3 tile can hold: an empty
+// pattern, or one longer than a tile's state budget.
+func checkPattern(id int, p []byte, maxStates int) error {
+	if len(p) == 0 {
+		return fmt.Errorf("compose: pattern %d empty", id)
+	}
+	if len(p)+1 > maxStates {
+		return fmt.Errorf(
+			"compose: pattern %d needs %d states, budget is %d", id, len(p)+1, maxStates)
+	}
+	return nil
+}
+
+// trieCounter incrementally counts Aho-Corasick goto-trie states over
+// raw pattern bytes: a dense child table (one row per state, one entry
+// per reduced symbol, 0 = no child since the root is never a child).
 type trieCounter struct {
-	children map[trieKey]int32
-	nodes    int
-	next     int32
+	red   *alphabet.Reduction
+	next  []int32
+	nodes int
 }
 
-type trieKey struct {
-	node int32
-	sym  byte
+func newTrieCounter(red *alphabet.Reduction) *trieCounter {
+	return &trieCounter{red: red, next: make([]int32, red.Classes), nodes: 1}
 }
 
-func newTrieCounter() *trieCounter {
-	return &trieCounter{children: map[trieKey]int32{}, nodes: 1, next: 1}
+// reset empties the trie to its root, keeping the table's storage.
+func (t *trieCounter) reset() {
+	t.next = t.next[:t.red.Classes]
+	clear(t.next)
+	t.nodes = 1
 }
 
+// wouldAdd is the number of states inserting p would create.
 func (t *trieCounter) wouldAdd(p []byte) int {
+	syms := t.red.Classes
 	cur := int32(0)
-	added := 0
-	for _, c := range p {
-		if added > 0 {
-			added++
-			continue
+	for i, raw := range p {
+		cur = t.next[int(cur)*syms+int(t.red.Map[raw])]
+		if cur == 0 {
+			return len(p) - i
 		}
-		next, ok := t.children[trieKey{cur, c}]
-		if !ok {
-			added++
-			continue
-		}
-		cur = next
 	}
-	return added
+	return 0
 }
 
 func (t *trieCounter) insert(p []byte) {
-	cur := int32(0)
-	for _, c := range p {
-		k := trieKey{cur, c}
-		next, ok := t.children[k]
-		if !ok {
-			next = t.next
-			t.next++
+	syms := t.red.Classes
+	cur := 0
+	for _, raw := range p {
+		e := cur*syms + int(t.red.Map[raw])
+		if t.next[e] == 0 {
+			t.next[e] = int32(t.nodes)
 			t.nodes++
-			t.children[k] = next
+			t.next = append(t.next, make([]int32, syms)...)
 		}
-		cur = next
+		cur = int(t.next[e])
 	}
 }
 
@@ -185,6 +202,11 @@ type System struct {
 	// repeated delta recompiles against this system hash its dictionary
 	// once, not once per reload.
 	slotFP [][fpSize]byte
+	// overCap is the one-slot state cap (Config.HostTableBytes) this
+	// dictionary's trie was found to pass, 0 when none was tried. An
+	// append-only delta cannot shrink the trie, so it skips the one-slot
+	// attempt when its cap is the same.
+	overCap int
 }
 
 // Config for building a system.
@@ -198,10 +220,27 @@ type Config struct {
 	// CaseFold uses the paper's case-insensitive reduction.
 	CaseFold bool
 	// Workers bounds the compile-time fan-out (fanout semantics:
-	// 0 = one per core, 1 = sequential). Slot automata build
-	// concurrently and large slots parallelize internally; the result
-	// is bit-identical at any worker count.
+	// 0 = one per core, 1 = sequential): slot automata build
+	// concurrently, and the result is bit-identical at any worker
+	// count.
 	Workers int
+	// HostTableBytes, when positive and MaxStatesPerTile is zero, is
+	// the byte budget of one host dense table. A literal dictionary
+	// whose whole automaton has at most HostTableBytes /
+	// Red.KernelRowBytes() states — the host kernel's own row size —
+	// composes as one slot. The one-slot build stops the moment its
+	// trie passes that cap, and the dictionary takes the Figure 3
+	// tiling instead. Zero keeps the tiling always (regex systems
+	// ignore the field).
+	HostTableBytes int
+}
+
+// hostStates is the one-slot state cap cfg admits under red (0: none).
+func (cfg Config) hostStates(red *alphabet.Reduction) int {
+	if cfg.HostTableBytes <= 0 || cfg.MaxStatesPerTile != 0 {
+		return 0
+	}
+	return cfg.HostTableBytes / red.KernelRowBytes()
 }
 
 // tileGeometry resolves the row width and per-tile state budget for a
@@ -223,7 +262,10 @@ func tileGeometry(red *alphabet.Reduction, maxStatesPerTile int) (width, maxStat
 	return width, maxStates, nil
 }
 
-// NewSystem partitions the dictionary and erects the topology.
+// NewSystem composes a literal dictionary: one slot when
+// Config.HostTableBytes admits its whole automaton, otherwise the
+// Figure 3 tiling — partitioned into tile-sized slots, each tile an
+// Aho-Corasick automaton — under the erected topology.
 func NewSystem(patterns [][]byte, cfg Config) (*System, error) {
 	if cfg.Groups == 0 {
 		cfg.Groups = 1
@@ -232,10 +274,65 @@ func NewSystem(patterns [][]byte, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newSystem(patterns, red, cfg)
+}
+
+// newSystem is NewSystem under a resolved reduction.
+func newSystem(patterns [][]byte, red *alphabet.Reduction, cfg Config) (*System, error) {
 	width, maxStates, err := tileGeometry(red, cfg.MaxStatesPerTile)
 	if err != nil {
 		return nil, err
 	}
+	hostCap := cfg.hostStates(red)
+	if hostCap > 0 {
+		s, err := newOneSlot(patterns, red, width, maxStates, hostCap, cfg)
+		if !errors.Is(err, dfa.ErrStateCap) {
+			return s, err
+		}
+	}
+	s, err := newTiled(patterns, red, width, maxStates, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.overCap = hostCap
+	return s, nil
+}
+
+// newOneSlot composes the whole dictionary as one slot of at most
+// hostCap states; past the cap the error wraps dfa.ErrStateCap. Every
+// pattern must still fit a tile of maxStates, so the dictionaries a
+// one-slot system accepts are exactly those the tiling accepts and
+// its Cell model (CellTiling) always exists.
+func newOneSlot(patterns [][]byte, red *alphabet.Reduction, width, maxStates, hostCap int, cfg Config) (*System, error) {
+	if len(patterns) == 0 {
+		return nil, fmt.Errorf("compose: empty dictionary")
+	}
+	for id, p := range patterns {
+		if err := checkPattern(id, p, maxStates); err != nil {
+			return nil, err
+		}
+	}
+	topo := Mixed(cfg.Groups, 1)
+	if err := topo.Validate(cfg.MaxSPEs); err != nil {
+		return nil, err
+	}
+	d, err := dfa.FromPatternsMax(patterns, red, hostCap)
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]int, len(patterns))
+	for i := range ids {
+		ids[i] = i
+	}
+	return &System{
+		Topology: topo, Red: red, Width: width,
+		Slots: []*dfa.DFA{d}, SlotPatterns: [][]int{ids}, MaxPatternLen: d.MaxPatternLen,
+	}, nil
+}
+
+// newTiled partitions the dictionary into slots of at most maxStates
+// states and builds every slot.
+func newTiled(patterns [][]byte, red *alphabet.Reduction, width, maxStates int, cfg Config) (*System, error) {
 	groups, err := Partition(patterns, red, maxStates)
 	if err != nil {
 		return nil, err
@@ -251,6 +348,56 @@ func NewSystem(patterns [][]byte, cfg Config) (*System, error) {
 	return s, nil
 }
 
+// oversized reports whether s is one slot larger than maxStates: a
+// one-slot host system when maxStates is the tile budget.
+func (s *System) oversized(maxStates int) bool {
+	return len(s.Slots) == 1 && s.Slots[0].NumStates() > maxStates
+}
+
+// hostSlot reports whether s, composed under cfg, is a one-slot host
+// system larger than a Figure 3 tile: a composition the paper's Cell
+// could not load, whose Cell model is CellTiling. Systems under a
+// pinned MaxStatesPerTile are their own tiling.
+func (s *System) hostSlot(cfg Config) bool {
+	if cfg.MaxStatesPerTile != 0 {
+		return false
+	}
+	_, tile, err := tileGeometry(s.Red, 0)
+	return err == nil && s.oversized(tile)
+}
+
+// CellTiling returns the Figure 3 tiling of the literal dictionary s
+// was composed from (patterns, under cfg): s itself unless s is a
+// one-slot host system (hostSlot), whose tiling is composed afresh.
+// It is the system the Cell model plans on.
+func (s *System) CellTiling(patterns [][]byte, cfg Config) (*System, error) {
+	if !s.hostSlot(cfg) {
+		return s, nil
+	}
+	cfg.HostTableBytes = 0
+	cfg.Groups = s.Topology.Groups
+	return newSystem(patterns, s.Red, cfg)
+}
+
+// CellTileStates is the state count of each slot of CellTiling,
+// counted on the goto trie without building an automaton when s is a
+// one-slot host system.
+func (s *System) CellTileStates(patterns [][]byte, cfg Config) ([]int, error) {
+	if !s.hostSlot(cfg) {
+		states := make([]int, len(s.Slots))
+		for i, d := range s.Slots {
+			states[i] = d.NumStates()
+		}
+		return states, nil
+	}
+	_, tile, err := tileGeometry(s.Red, 0)
+	if err != nil {
+		return nil, err
+	}
+	_, states, err := partitionFrom(patterns, s.Red, tile, 0)
+	return states, err
+}
+
 // buildSlots compiles each group's automaton, fanning the independent
 // slot builds across workers (large dictionaries split into hundreds of
 // tile slots, so per-slot fan-out is the dominant compile parallelism).
@@ -261,13 +408,6 @@ func NewSystem(patterns [][]byte, cfg Config) (*System, error) {
 // the sequential build's.
 func (s *System) buildSlots(patterns [][]byte, groups [][]int, reuse []*dfa.DFA, maxStates, workers int) error {
 	s.Slots = make([]*dfa.DFA, len(groups))
-	// Few slots on many cores: give each slot's own construction the
-	// leftover parallelism (single-slot systems and per-shard compiles
-	// hit this; many-slot systems keep slots sequential inside).
-	inner := 1
-	if w := fanout.Workers(workers); len(groups) < w {
-		inner = (w + len(groups) - 1) / len(groups)
-	}
 	err := fanout.ForEachErr(len(groups), workers, func(gi int) error {
 		if reuse != nil && reuse[gi] != nil {
 			s.Slots[gi] = reuse[gi]
@@ -278,7 +418,7 @@ func (s *System) buildSlots(patterns [][]byte, groups [][]int, reuse []*dfa.DFA,
 		for i, id := range ids {
 			sub[i] = patterns[id]
 		}
-		d, err := dfa.FromPatternsParallel(sub, s.Red, inner)
+		d, err := dfa.FromPatterns(sub, s.Red)
 		if err != nil {
 			return err
 		}
@@ -377,15 +517,6 @@ func NewRegexSystem(exprs []string, cfg Config) (*System, error) {
 		}
 	}
 	return s, nil
-}
-
-// DictionaryStates is the aggregate state count across series slots.
-func (s *System) DictionaryStates() int {
-	total := 0
-	for _, d := range s.Slots {
-		total += d.NumStates()
-	}
-	return total
 }
 
 // Scan matches raw input against the whole dictionary, splitting it

@@ -258,8 +258,12 @@ func TestSeriesDictionaryScaling(t *testing.T) {
 	if s.Topology.SeriesDepth < 2 {
 		t.Fatalf("series depth = %d, expected partitioning", s.Topology.SeriesDepth)
 	}
-	if s.DictionaryStates() <= 300 {
-		t.Fatalf("aggregate states = %d", s.DictionaryStates())
+	total := 0
+	for _, d := range s.Slots {
+		total += d.NumStates()
+	}
+	if total <= 300 {
+		t.Fatalf("aggregate states = %d", total)
 	}
 	// Every pattern is still found.
 	for i, p := range dict {

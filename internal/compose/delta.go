@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 
 	"cellmatch/internal/alphabet"
 	"cellmatch/internal/dfa"
@@ -61,18 +62,19 @@ func (s *System) slotFingerprints(patterns [][]byte, workers int) [][fpSize]byte
 
 // partitionDelta computes the new dictionary's group list, taking the
 // append-only fast path when the previous dictionary is a strict prefix
-// of the new one: groups before the last previous group cannot change
-// (the greedy packer's state at each boundary depends only on earlier
-// patterns, which are byte-identical), so only the tail from the start
-// of the last previous group is re-packed. Any other edit re-runs the
-// full partitioner — still cheap next to automaton construction.
-func partitionDelta(patterns [][]byte, red *alphabet.Reduction, maxStates int, prev *System, prevPatterns [][]byte) ([][]int, error) {
-	if len(prev.SlotPatterns) > 0 && len(patterns) > len(prevPatterns) && isPrefix(prevPatterns, patterns) {
+// of the new one (grown): groups before the last previous group cannot
+// change (the greedy packer's state at each boundary depends only on
+// earlier patterns, which are byte-identical), so only the tail from
+// the start of the last previous group is re-packed. Any other edit
+// re-runs the full partitioner — still cheap next to automaton
+// construction.
+func partitionDelta(patterns [][]byte, red *alphabet.Reduction, maxStates int, prev *System, grown bool) ([][]int, error) {
+	if grown {
 		last := len(prev.SlotPatterns) - 1
 		resume := prev.SlotPatterns[last][0]
 		groups := make([][]int, last, last+1)
 		copy(groups, prev.SlotPatterns[:last])
-		tail, err := partitionFrom(patterns, red, maxStates, resume)
+		tail, _, err := partitionFrom(patterns, red, maxStates, resume)
 		if err != nil {
 			return nil, err
 		}
@@ -99,18 +101,10 @@ func isPrefix(old, new [][]byte) bool {
 // bit-identical to NewSystem(patterns, cfg); when the new reduction
 // differs from prev's (an edit introduced or retired a byte class,
 // re-numbering every slot's symbols) nothing is reusable and the cold
-// path runs.
+// path runs. A dictionary that composes as one host slot (see
+// Config.HostTableBytes) has nothing to reuse either: its one
+// automaton is rebuilt, with no partition or fingerprint pass.
 func NewSystemDelta(patterns [][]byte, cfg Config, prev *System, prevPatterns [][]byte) (*System, []bool, error) {
-	cold := func() (*System, []bool, error) {
-		s, err := NewSystem(patterns, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return s, make([]bool, len(s.Slots)), nil
-	}
-	if prev == nil || prev.Red == nil || len(prev.Slots) == 0 {
-		return cold()
-	}
 	if cfg.Groups == 0 {
 		cfg.Groups = 1
 	}
@@ -118,14 +112,43 @@ func NewSystemDelta(patterns [][]byte, cfg Config, prev *System, prevPatterns []
 	if err != nil {
 		return nil, nil, err
 	}
-	if *red != *prev.Red {
+	cold := func() (*System, []bool, error) {
+		s, err := newSystem(patterns, red, cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		return s, make([]bool, len(s.Slots)), nil
+	}
+	if prev == nil || prev.Red == nil || len(prev.Slots) == 0 || *red != *prev.Red {
 		return cold()
 	}
 	width, maxStates, err := tileGeometry(red, cfg.MaxStatesPerTile)
 	if err != nil {
 		return nil, nil, err
 	}
-	groups, err := partitionDelta(patterns, red, maxStates, prev, prevPatterns)
+	grown := len(patterns) > len(prevPatterns) && isPrefix(prevPatterns, patterns)
+	hostCap := cfg.hostStates(red)
+	// The trie of a grown dictionary contains prev's, so a cap prev's
+	// trie passed is passed again: go straight to the tiles.
+	if hostCap > 0 && !(grown && prev.overCap == hostCap) {
+		s, err := newOneSlot(patterns, red, width, maxStates, hostCap, cfg)
+		if !errors.Is(err, dfa.ErrStateCap) {
+			if err != nil {
+				return nil, nil, err
+			}
+			return s, []bool{false}, nil
+		}
+	}
+	if prev.oversized(maxStates) {
+		// prev is one host slot: no tile of it can be reused.
+		s, err := newTiled(patterns, red, width, maxStates, cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		s.overCap = hostCap
+		return s, make([]bool, len(s.Slots)), nil
+	}
+	groups, err := partitionDelta(patterns, red, maxStates, prev, grown)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -146,7 +169,7 @@ func NewSystemDelta(patterns [][]byte, cfg Config, prev *System, prevPatterns []
 		newFPs[i] = slotFingerprint(patterns, groups[i])
 	})
 
-	s := &System{Topology: topo, Red: red, Width: width, SlotPatterns: groups, slotFP: newFPs}
+	s := &System{Topology: topo, Red: red, Width: width, SlotPatterns: groups, slotFP: newFPs, overCap: hostCap}
 	reuseSlots := make([]*dfa.DFA, len(groups))
 	reused := make([]bool, len(groups))
 	for i, fp := range newFPs {

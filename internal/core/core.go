@@ -27,7 +27,6 @@ import (
 	"cellmatch/internal/dfa"
 	"cellmatch/internal/filter"
 	"cellmatch/internal/kernel"
-	"cellmatch/internal/stt"
 )
 
 // Match is one dictionary hit: Pattern is the index into the compiled
@@ -270,12 +269,12 @@ type Matcher struct {
 	setFPOnce sync.Once
 	setFP     [32]byte
 
-	// sttBytes caches Stats().STTBytes, the slots' encoded stt size:
-	// encoding every slot is the expensive part of Stats, and /stats
-	// calls it per request. Computed on first use, not at compile, so
-	// compile latency does not carry it.
-	sttOnce  sync.Once
-	sttBytes int
+	// cellStates caches the state count of each Figure 3 tile — the
+	// Cell model behind Stats' paper fields. A one-slot host system
+	// counts them on the dictionary's trie, so they are computed on
+	// first use, off the compile, reload and scan paths.
+	cellOnce   sync.Once
+	cellStates []int
 }
 
 // Options returns the options the matcher was compiled with — what a
@@ -465,14 +464,29 @@ func (m *Matcher) initFilter() error {
 	return nil
 }
 
-// Compile builds a matcher from exact byte-string patterns.
-func Compile(patterns [][]byte, opts Options) (*Matcher, error) {
-	sys, err := compose.NewSystem(patterns, compose.Config{
+// composeConfig is the composition every literal compile, delta and
+// Cell model of opts shares. While the dense kernel can serve (not
+// disabled, not bypassed by CompressedOn) and no tile budget is
+// pinned, a dictionary whose whole automaton fits the kernel's byte
+// budget composes as one slot: every input byte then crosses one
+// table, not one per 1520-state Figure 3 tile. Everything else keeps
+// the tiling.
+func composeConfig(opts Options) compose.Config {
+	cfg := compose.Config{
 		MaxStatesPerTile: opts.MaxStatesPerTile,
 		Groups:           opts.Groups,
 		CaseFold:         opts.CaseFold,
 		Workers:          opts.CompileWorkers,
-	})
+	}
+	if !opts.Engine.DisableKernel && opts.Engine.Compressed != CompressedOn {
+		cfg.HostTableBytes = kernel.ResolveMaxTableBytes(opts.Engine.MaxTableBytes)
+	}
+	return cfg
+}
+
+// Compile builds a matcher from exact byte-string patterns.
+func Compile(patterns [][]byte, opts Options) (*Matcher, error) {
+	sys, err := compose.NewSystem(patterns, composeConfig(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -666,15 +680,25 @@ func (m *Matcher) NumPatterns() int { return len(m.patterns) }
 // Stats describe the compiled artifact: dictionary shape, alphabet
 // reduction, and which scan engine is live with its cache residency,
 // so callers never need to reach into internal/stt or internal/kernel.
+//
+// States, SeriesDepth, TilesRequired and STTBytes describe the Cell
+// model: the dictionary's Figure 3 tiling, which may differ from the
+// host composition that scans (see Slots).
 type Stats struct {
 	Patterns      int
-	States        int // aggregate across series slots
-	SeriesDepth   int
+	States        int // aggregate across the Figure 3 tiles
+	SeriesDepth   int // Figure 3 tiles in series
 	Groups        int
 	TilesRequired int
-	STTBytes      int // aggregate encoded table size at width 32
+	STTBytes      int // aggregate encoded tile size at the system width
 	AlphabetUsed  int // distinct reduced symbol classes the dictionary uses
 	MaxPatternLen int
+
+	// Slots is the number of automata each input byte passes through
+	// on the live rung: 1 when the whole dictionary fits one host
+	// table, the Figure 3 tile count when it is tiled, the table count
+	// summed over shards on the sharded rung.
+	Slots int
 
 	// Regex reports a regular-expression dictionary (CompileRegexSearch):
 	// patterns are expression sources, MinPatternLen/MaxPatternLen are
@@ -746,26 +770,37 @@ type Stats struct {
 	WindowsSkipped uint64
 }
 
-// Stats reports the compiled matcher's shape.
+// Stats reports the compiled matcher's shape. The first call on a
+// one-slot host system larger than a tile pays the Figure 3 partition
+// pass behind the Cell fields; serving paths use LiveStats.
 func (m *Matcher) Stats() Stats {
+	s := m.LiveStats()
+	tiles := m.cellTileStates()
+	s.States = 0
+	for _, n := range tiles {
+		s.States += n
+	}
+	s.SeriesDepth = len(tiles)
+	s.TilesRequired = m.sys.Topology.Groups * len(tiles)
+	s.STTBytes = s.States * m.sys.Width * 4 // one stt row per state
+	return s
+}
+
+// LiveStats is Stats without the Cell model: States counts the states
+// of the automata that scan (summed over the system's slots), and
+// SeriesDepth, TilesRequired and STTBytes are zero. It never runs the
+// partition pass, so reload replies and logs can afford it.
+func (m *Matcher) LiveStats() Stats {
 	s := Stats{
 		Patterns:      len(m.patterns),
-		States:        m.sys.DictionaryStates(),
-		SeriesDepth:   m.sys.Topology.SeriesDepth,
 		Groups:        m.sys.Topology.Groups,
-		TilesRequired: m.sys.Topology.TotalTiles(),
 		AlphabetUsed:  m.sys.Red.Classes,
 		MaxPatternLen: m.sys.MaxPatternLen,
 		Regex:         m.regex,
 	}
-	m.sttOnce.Do(func() {
-		for _, d := range m.sys.Slots {
-			if t, err := stt.Encode(d, m.sys.Width, 0); err == nil {
-				m.sttBytes += t.SizeBytes()
-			}
-		}
-	})
-	s.STTBytes = m.sttBytes
+	for _, d := range m.sys.Slots {
+		s.States += d.NumStates()
+	}
 	s.DenseTableBudget = kernel.ResolveMaxTableBytes(m.opts.Engine.MaxTableBytes)
 	s.MinPatternLen = m.minLen
 	s.WindowsSkipped = m.windowsSkipped.Load()
@@ -781,9 +816,40 @@ func (m *Matcher) Stats() Stats {
 	s.CompressedTableBytes = fp.CompressedTableBytes
 	s.Shards = fp.Shards
 	s.MaxShardTableBytes = fp.MaxShardTableBytes
+	s.Slots = fp.Slots
 	s.TableFitsL1 = fp.Resident > 0 && fp.Resident <= kernel.L1DataBudget
 	s.TableFitsL2 = fp.Resident > 0 && fp.Resident <= kernel.L2Budget
 	return s
+}
+
+// cellTileStates returns (computing on first use) the state count of
+// each Figure 3 tile of the dictionary.
+func (m *Matcher) cellTileStates() []int {
+	m.cellOnce.Do(func() {
+		var err error
+		if !m.regex {
+			m.cellStates, err = m.sys.CellTileStates(m.patterns, composeConfig(m.opts))
+		}
+		if m.regex || err != nil {
+			// Regex systems are always tiled; a loaded artifact whose
+			// patterns no tile holds keeps its own slots.
+			m.cellStates = make([]int, len(m.sys.Slots))
+			for i, d := range m.sys.Slots {
+				m.cellStates[i] = d.NumStates()
+			}
+		}
+	})
+	return m.cellStates
+}
+
+// CellSystem returns the system the Cell model plans on: the
+// dictionary's Figure 3 tiling, composed afresh when the matcher scans
+// one host slot larger than a tile (System otherwise).
+func (m *Matcher) CellSystem() (*compose.System, error) {
+	if m.regex {
+		return m.sys, nil
+	}
+	return m.sys.CellTiling(m.patterns, composeConfig(m.opts))
 }
 
 // FilterActive reports whether the skip-scan front-end is live — the
@@ -795,7 +861,7 @@ func (m *Matcher) FilterActive() bool { return m.filter != nil }
 // the cheap per-request form for serving paths.
 func (m *Matcher) EngineName() string { return m.v.Name() }
 
-// System exposes the underlying composed system for advanced use.
+// System exposes the composed system that scans, for advanced use.
 func (m *Matcher) System() *compose.System { return m.sys }
 
 // CompileRegexSet builds a single-automaton matcher from regular

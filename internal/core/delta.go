@@ -59,12 +59,7 @@ func (m *Matcher) RecompileDelta(newPatterns [][]byte) (*Matcher, *DeltaStats, e
 		ds.SlotsRebuilt = len(m2.sys.Slots)
 		return m2, ds, nil
 	}
-	sys, reused, err := compose.NewSystemDelta(newPatterns, compose.Config{
-		MaxStatesPerTile: m.opts.MaxStatesPerTile,
-		Groups:           m.opts.Groups,
-		CaseFold:         m.opts.CaseFold,
-		Workers:          m.opts.CompileWorkers,
-	}, m.sys, m.patterns)
+	sys, reused, err := compose.NewSystemDelta(newPatterns, composeConfig(m.opts), m.sys, m.patterns)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -83,7 +83,9 @@ func deltaCoreDict(n int, seed uint32) [][]byte {
 }
 
 func TestRecompileDeltaKernelTier(t *testing.T) {
-	opts := Options{Engine: EngineOptions{Filter: FilterOff, Stride: 1}}
+	// Pinned Figure 3 tiles: slot reuse needs more than one slot, and
+	// the whole dictionary would otherwise fit one host slot.
+	opts := Options{MaxStatesPerTile: 1520, Engine: EngineOptions{Filter: FilterOff, Stride: 1}}
 	pats := deltaCoreDict(300, 5)
 	prev, err := Compile(pats, opts)
 	if err != nil {

@@ -34,7 +34,7 @@ func TestStrideAndPinnedReference(t *testing.T) {
 	if mStt.Stride() != 0 {
 		t.Fatalf("stt matcher reports stride %d", mStt.Stride())
 	}
-	if m1.System() == nil || m1.System().DictionaryStates() == 0 {
+	if m1.System() == nil || len(m1.System().Slots) == 0 {
 		t.Fatal("System() accessor returned an empty system")
 	}
 

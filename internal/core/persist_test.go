@@ -54,12 +54,14 @@ func TestSaveLoadMultiSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Compile(pats, Options{CaseFold: true})
+	// Pinned Figure 3 tiles: the whole dictionary would otherwise fit
+	// one host slot.
+	m, err := Compile(pats, Options{CaseFold: true, MaxStatesPerTile: 1520})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Stats().SeriesDepth < 2 {
-		t.Fatalf("expected multiple slots, got %d", m.Stats().SeriesDepth)
+	if m.Stats().Slots < 2 {
+		t.Fatalf("expected multiple slots, got %d", m.Stats().Slots)
 	}
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {

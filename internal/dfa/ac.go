@@ -1,19 +1,15 @@
 package dfa
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 
 	"cellmatch/internal/alphabet"
 )
 
-// acNode is one trie node during Aho-Corasick construction.
-type acNode struct {
-	children map[byte]int32
-	fail     int32
-	out      []int32
-	depth    int
-}
+// ErrStateCap is returned (wrapped) by FromPatternsMax when the
+// dictionary's trie passes the state cap.
+var ErrStateCap = errors.New("dfa: automaton exceeds state cap")
 
 // FromPatterns builds the Aho-Corasick DFA for a dictionary, the
 // paper's Section 3 construction: a goto trie, BFS failure links, and
@@ -22,8 +18,22 @@ type acNode struct {
 // Patterns are reduced through red before insertion; the DFA therefore
 // runs over reduced input (apply red to the stream before scanning, as
 // the paper's PPE-side data reduction does). Pattern IDs are indices
-// into the patterns slice.
+// into the patterns slice. States are numbered in trie-insertion order.
 func FromPatterns(patterns [][]byte, red *alphabet.Reduction) (*DFA, error) {
+	return FromPatternsMax(patterns, red, 0)
+}
+
+// FromPatternsMax is FromPatterns under a state cap: when maxStates is
+// positive and the trie would need more states, construction stops at
+// the first state past the cap and the error wraps ErrStateCap.
+//
+// The goto trie is built directly in the dense table: row s holds
+// state s's children, 0 meaning "no child" (the root, state 0, is
+// never a child). A BFS then turns each row into its final next-move
+// row in place — children stay, holes copy the failure state's row,
+// which BFS order has already finished — so construction allocates no
+// per-node maps and the table is the trie.
+func FromPatternsMax(patterns [][]byte, red *alphabet.Reduction, maxStates int) (*DFA, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("dfa: empty dictionary")
 	}
@@ -33,119 +43,121 @@ func FromPatterns(patterns [][]byte, red *alphabet.Reduction) (*DFA, error) {
 	if err := red.Validate(); err != nil {
 		return nil, err
 	}
+	syms := red.Classes
+	// A dictionary of b bytes needs at most b+1 states; reserve that
+	// (within the cap, and within 64Ki rows) so most builds never grow
+	// the table, and trim it to the state count at the end.
+	bound := 1
+	for _, p := range patterns {
+		bound += len(p)
+	}
+	if maxStates > 0 {
+		bound = min(bound, maxStates)
+	}
+	bound = min(bound, 1<<16)
+	next := make([]int32, syms, bound*syms) // zeroed through its capacity
+	term := make([]int32, len(patterns))    // the state each pattern ends at
 	maxLen := 0
-	nodes := []*acNode{{children: map[byte]int32{}}}
 	for id, p := range patterns {
 		if len(p) == 0 {
 			return nil, fmt.Errorf("dfa: pattern %d is empty", id)
 		}
-		if len(p) > maxLen {
-			maxLen = len(p)
-		}
-		cur := int32(0)
+		maxLen = max(maxLen, len(p))
+		cur := 0
 		for _, raw := range p {
-			c := red.Map[raw]
-			next, ok := nodes[cur].children[c]
-			if !ok {
-				next = int32(len(nodes))
-				nodes = append(nodes, &acNode{
-					children: map[byte]int32{},
-					depth:    nodes[cur].depth + 1,
-				})
-				nodes[cur].children[c] = next
-			}
-			cur = next
-		}
-		nodes[cur].out = append(nodes[cur].out, int32(id))
-	}
-
-	// BFS failure links; out sets inherit along failure chains.
-	queue := make([]int32, 0, len(nodes))
-	for _, child := range sortedChildren(nodes[0]) {
-		nodes[child].fail = 0
-		queue = append(queue, child)
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		u := queue[qi]
-		for _, c := range sortedSymbols(nodes[u]) {
-			v := nodes[u].children[c]
-			f := nodes[u].fail
-			for {
-				if next, ok := nodes[f].children[c]; ok && next != v {
-					nodes[v].fail = next
-					break
+			e := cur*syms + int(red.Map[raw])
+			child := next[e]
+			if child == 0 {
+				child = int32(len(next) / syms)
+				if maxStates > 0 && int(child) >= maxStates {
+					return nil, fmt.Errorf("%w: more than %d states", ErrStateCap, maxStates)
 				}
-				if f == 0 {
-					nodes[v].fail = 0
-					break
+				next[e] = child
+				if len(next)+syms <= cap(next) {
+					next = next[:len(next)+syms]
+				} else {
+					next = append(next, make([]int32, syms)...)
 				}
-				f = nodes[f].fail
 			}
-			nodes[v].out = append(nodes[v].out, nodes[nodes[v].fail].out...)
-			queue = append(queue, v)
+			cur = int(child)
 		}
+		term[id] = int32(cur)
 	}
-
-	// Dense delta: delta[s][c] = goto(s,c) if defined else delta[fail(s)][c].
-	syms := red.Classes
-	n := len(nodes)
+	n := len(next) / syms
+	if cap(next) != len(next) {
+		next = append(make([]int32, 0, len(next)), next...)
+	}
+	// The ids ending at each state, ascending, as linked lists through
+	// the id space: first[s] and link[id] hold id+1, 0 ending a list.
+	first := make([]int32, n)
+	link := make([]int32, len(patterns))
+	for id := len(patterns) - 1; id >= 0; id-- {
+		link[id] = first[term[id]]
+		first[term[id]] = int32(id + 1)
+	}
 	d := &DFA{
 		Syms:          syms,
 		Start:         0,
-		Next:          make([]int32, n*syms),
+		Next:          next,
 		Accept:        make([]bool, n),
 		Out:           make([][]int32, n),
 		MaxPatternLen: maxLen,
 	}
-	// Process in BFS order so parents are resolved first.
-	order := append([]int32{0}, queue...)
-	for _, s := range order {
-		node := nodes[s]
-		for c := 0; c < syms; c++ {
-			if next, ok := node.children[byte(c)]; ok {
-				d.Next[int(s)*syms+c] = next
-			} else if s == 0 {
-				d.Next[c] = 0
+	fail := make([]int32, n)
+	queue := make([]int32, 1, n)
+	for qi := 0; qi < len(queue); qi++ {
+		s := queue[qi]
+		row := next[int(s)*syms : int(s)*syms+syms]
+		if s == 0 {
+			// Depth-1 states fail to the root; the root's holes already
+			// read 0, the root itself.
+			for _, child := range row {
+				if child != 0 {
+					queue = append(queue, child)
+				}
+			}
+			continue
+		}
+		f := int(fail[s])
+		frow := next[f*syms : f*syms+syms]
+		for c, child := range row {
+			if child != 0 {
+				fail[child] = frow[c]
+				queue = append(queue, child)
 			} else {
-				d.Next[int(s)*syms+c] = d.Next[int(node.fail)*syms+c]
+				row[c] = frow[c]
 			}
 		}
-		d.Accept[s] = len(node.out) > 0
-		if len(node.out) > 0 {
-			out := append([]int32(nil), node.out...)
-			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-			d.Out[s] = dedupe(out)
+		if first[s] != 0 || d.Accept[f] {
+			d.Out[s] = outputs(first[s], link, d.Out[f])
+			d.Accept[s] = true
 		}
 	}
 	return d, nil
 }
 
-func dedupe(sorted []int32) []int32 {
-	out := sorted[:0]
-	for i, v := range sorted {
-		if i == 0 || v != sorted[i-1] {
-			out = append(out, v)
+// outputs is a state's output set: its own ids (the ascending list
+// from first through link) merged with its failure state's set. The
+// two are disjoint (the failure state's patterns are shorter), so the
+// merge is sorted and duplicate-free. A state with no ids of its own
+// shares its failure state's set: output sets are immutable once
+// built.
+func outputs(first int32, link, inherited []int32) []int32 {
+	if first == 0 {
+		return inherited
+	}
+	k := len(inherited)
+	for id := first; id != 0; id = link[id-1] {
+		k++
+	}
+	out := make([]int32, 0, k)
+	for id := first; id != 0; id = link[id-1] {
+		for len(inherited) > 0 && inherited[0] < id-1 {
+			out, inherited = append(out, inherited[0]), inherited[1:]
 		}
+		out = append(out, id-1)
 	}
-	return out
-}
-
-func sortedChildren(n *acNode) []int32 {
-	syms := sortedSymbols(n)
-	out := make([]int32, len(syms))
-	for i, c := range syms {
-		out[i] = n.children[c]
-	}
-	return out
-}
-
-func sortedSymbols(n *acNode) []byte {
-	out := make([]byte, 0, len(n.children))
-	for c := range n.children {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append(out, inherited...)
 }
 
 // TrieStates returns the number of Aho-Corasick states a dictionary

@@ -2,6 +2,8 @@ package dfa
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -285,5 +287,215 @@ func TestACDenseTableClosure(t *testing.T) {
 				t.Fatalf("state %d sym %d -> %d out of range", s, c, nx)
 			}
 		}
+	}
+}
+
+// acNode is one trie node of mapFromPatterns.
+type acNode struct {
+	children map[byte]int32
+	fail     int32
+	out      []int32
+}
+
+// mapFromPatterns is the textbook construction FromPatterns replaced —
+// a map per trie node, failure links by chain walk, output sets sorted
+// at emission — kept as the oracle the dense build must reproduce
+// exactly.
+func mapFromPatterns(patterns [][]byte, red *alphabet.Reduction) (*DFA, error) {
+	if len(patterns) == 0 {
+		return nil, fmt.Errorf("dfa: empty dictionary")
+	}
+	if red == nil {
+		red = alphabet.Identity()
+	}
+	maxLen := 0
+	nodes := []*acNode{{children: map[byte]int32{}}}
+	for id, p := range patterns {
+		if len(p) == 0 {
+			return nil, fmt.Errorf("dfa: pattern %d is empty", id)
+		}
+		maxLen = max(maxLen, len(p))
+		cur := int32(0)
+		for _, raw := range p {
+			c := red.Map[raw]
+			next, ok := nodes[cur].children[c]
+			if !ok {
+				next = int32(len(nodes))
+				nodes = append(nodes, &acNode{children: map[byte]int32{}})
+				nodes[cur].children[c] = next
+			}
+			cur = next
+		}
+		nodes[cur].out = append(nodes[cur].out, int32(id))
+	}
+	sortedSymbols := func(n *acNode) []byte {
+		out := make([]byte, 0, len(n.children))
+		for c := range n.children {
+			out = append(out, c)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out
+	}
+	var queue []int32
+	for _, c := range sortedSymbols(nodes[0]) {
+		queue = append(queue, nodes[0].children[c])
+	}
+	for qi := 0; qi < len(queue); qi++ {
+		u := queue[qi]
+		for _, c := range sortedSymbols(nodes[u]) {
+			v := nodes[u].children[c]
+			f := nodes[u].fail
+			for {
+				if next, ok := nodes[f].children[c]; ok && next != v {
+					nodes[v].fail = next
+					break
+				}
+				if f == 0 {
+					nodes[v].fail = 0
+					break
+				}
+				f = nodes[f].fail
+			}
+			nodes[v].out = append(nodes[v].out, nodes[nodes[v].fail].out...)
+			queue = append(queue, v)
+		}
+	}
+	syms := red.Classes
+	n := len(nodes)
+	d := &DFA{
+		Syms:          syms,
+		Next:          make([]int32, n*syms),
+		Accept:        make([]bool, n),
+		Out:           make([][]int32, n),
+		MaxPatternLen: maxLen,
+	}
+	for _, s := range append([]int32{0}, queue...) {
+		node := nodes[s]
+		for c := 0; c < syms; c++ {
+			if next, ok := node.children[byte(c)]; ok {
+				d.Next[int(s)*syms+c] = next
+			} else if s != 0 {
+				d.Next[int(s)*syms+c] = d.Next[int(node.fail)*syms+c]
+			}
+		}
+		if len(node.out) > 0 {
+			out := append([]int32(nil), node.out...)
+			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+			uniq := out[:0]
+			for i, v := range out {
+				if i == 0 || v != out[i-1] {
+					uniq = append(uniq, v)
+				}
+			}
+			d.Accept[s] = true
+			d.Out[s] = uniq
+		}
+	}
+	return d, nil
+}
+
+// randomDict builds a dictionary with heavy prefix sharing, substrings
+// of other entries, and duplicates — the shapes that exercise
+// insertion-order numbering, failure chains, and inherited outputs.
+func randomDict(rng *rand.Rand, n int) [][]byte {
+	roots := []string{"alpha", "alarm", "beta", "be", "gamma", "g", "delta", "ALPHA", "Beta"}
+	out := make([][]byte, 0, n)
+	for i := 0; i < n; i++ {
+		var p []byte
+		switch rng.Intn(5) {
+		case 0: // shared prefix + suffix
+			p = []byte(roots[rng.Intn(len(roots))] + fmt.Sprintf("%03d", rng.Intn(50)))
+		case 1: // short
+			p = []byte(fmt.Sprintf("%c%c", 'a'+rng.Intn(6), 'A'+rng.Intn(6)))
+		case 2: // duplicate-prone
+			p = []byte(roots[rng.Intn(len(roots))])
+		case 3: // a repeat of an earlier entry, or a slice of one
+			if len(out) > 0 {
+				q := out[rng.Intn(len(out))]
+				lo := rng.Intn(len(q))
+				p = append([]byte(nil), q[lo:lo+1+rng.Intn(len(q)-lo)]...)
+				break
+			}
+			fallthrough
+		default: // random bytes within a small alphabet
+			l := 1 + rng.Intn(12)
+			p = make([]byte, l)
+			for j := range p {
+				p[j] = byte('a' + rng.Intn(8))
+			}
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// TestFromPatternsMatchesMapOracle pins the dense goto-table build to
+// the map-based construction it replaced: the identical DFA (state
+// numbering, Next, Out, Accept) over random dictionaries under the
+// identity, case-fold, and dictionary-derived reductions.
+func TestFromPatternsMatchesMapOracle(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pats := randomDict(rng, 1+rng.Intn(300))
+		dict, err := alphabet.ForDictionary(pats, seed%2 == 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, red := range map[string]*alphabet.Reduction{
+			"identity": alphabet.Identity(), "fold32": alphabet.CaseFold32(), "dictionary": dict,
+		} {
+			want, err := mapFromPatterns(pats, red)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := FromPatterns(pats, red)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("seed %d %s: dense build differs from the map oracle (%d vs %d states)",
+					seed, name, got.NumStates(), want.NumStates())
+			}
+			if capped, err := FromPatternsMax(pats, red, want.NumStates()); err != nil || !reflect.DeepEqual(want, capped) {
+				t.Fatalf("seed %d %s: build at the exact cap: %v", seed, name, err)
+			}
+		}
+	}
+}
+
+// TestFromPatternsMaxStops checks the cap: one state short of the trie
+// is ErrStateCap, and errors the uncapped build reports come first
+// when they precede the overflow.
+func TestFromPatternsMaxStops(t *testing.T) {
+	p := pats("HE", "SHE", "HIS", "HERS") // 10 states
+	if _, err := FromPatternsMax(p, nil, 9); !errors.Is(err, ErrStateCap) {
+		t.Fatalf("cap 9: got %v, want ErrStateCap", err)
+	}
+	if d, err := FromPatternsMax(p, nil, 10); err != nil || d.NumStates() != 10 {
+		t.Fatalf("cap 10: %v", err)
+	}
+	if _, err := FromPatternsMax(pats("A", ""), nil, 2); errors.Is(err, ErrStateCap) || err == nil {
+		t.Fatalf("empty pattern under a cap: got %v", err)
+	}
+	for _, dict := range [][][]byte{nil, pats("A", "", "B")} {
+		_, err := FromPatterns(dict, nil)
+		_, want := mapFromPatterns(dict, nil)
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("dictionary %q: error %v, want %v", dict, err, want)
+		}
+	}
+}
+
+// TestFromPatternsExactBacking checks the table is trimmed to the
+// state count: the build's growth slack must not stay live with the
+// automaton.
+func TestFromPatternsExactBacking(t *testing.T) {
+	pats := randomDict(rand.New(rand.NewSource(7)), 2000)
+	d, err := FromPatterns(pats, alphabet.CaseFold32())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(d.Next) != len(d.Next) {
+		t.Fatalf("Next backing holds %d entries for %d", cap(d.Next), len(d.Next))
 	}
 }

@@ -789,11 +789,22 @@ type Compressed struct {
 // at L2Budget, since a compressed table that spills past L2 loses the
 // residency advantage that justifies its extra ops per byte). The
 // planning pass prices every slot before any table is allocated, so an
-// over-budget dictionary costs two row sweeps, not a build.
+// over-budget dictionary costs two row sweeps, not a build — and one
+// whose state count alone overflows the budget costs no sweep.
 func CompileCompressed(sys *compose.System, opts Options) (*Compressed, error) {
 	o := opts.withDefaults()
 	if len(sys.Slots) == 0 {
 		return nil, fmt.Errorf("kernel: system has no slots")
+	}
+	// Bitmaps, defaults, offsets and hot rows alone are a floor on the
+	// footprint: a dictionary over budget before any explicit entry is
+	// priced needs no plan.
+	floor := 0
+	for _, d := range sys.Slots {
+		floor += ctableBytes(d.NumStates(), d.Syms, 0)
+	}
+	if floor > o.MaxTableBytes {
+		return nil, fmt.Errorf("%w: compressed rows for %d slots need > %d bytes", ErrBudget, len(sys.Slots), o.MaxTableBytes)
 	}
 	plans := make([]*cplan, len(sys.Slots))
 	fanout.ForEach(len(sys.Slots), o.Workers, func(i int) {
@@ -938,7 +949,7 @@ func (e *Compressed) CarryTables() []CarryScanner { return carryScanners(e.Table
 // working set.
 func (e *Compressed) Footprint() Footprint {
 	b := e.TableBytes()
-	return Footprint{CompressedTableBytes: b, Resident: b}
+	return Footprint{CompressedTableBytes: b, Slots: len(e.Tables), Resident: b}
 }
 
 // Image serialization -------------------------------------------------

@@ -76,7 +76,7 @@ func TestCompileShardedParallelIdentical(t *testing.T) {
 func shardedFixtureBudget(t *testing.T, pats [][]byte, fold bool) int {
 	t.Helper()
 	red := reductionFor(t, pats, fold)
-	return 16 * widthFor(red.Classes) * 4
+	return 16 * red.KernelRowBytes()
 }
 
 // randomShardDict builds a deterministic dictionary large enough to

@@ -56,7 +56,7 @@ func goldenSharded(t *testing.T) *Sharded {
 	red := reductionFor(t, pats, true)
 	sh, err := CompileSharded(pats, ShardConfig{
 		CaseFold:      true,
-		MaxTableBytes: 10 * widthFor(red.Classes) * 4,
+		MaxTableBytes: 10 * red.KernelRowBytes(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"unsafe"
 
+	"cellmatch/internal/alphabet"
 	"cellmatch/internal/compose"
 	"cellmatch/internal/dfa"
 	"cellmatch/internal/fanout"
@@ -204,16 +205,6 @@ func alignedWords(n int) []uint32 {
 	return buf[off : off+n : off+n]
 }
 
-// widthFor returns the smallest power of two >= n, minimum 2 (so row
-// indexes always have bit 0 free for FlagOut).
-func widthFor(n int) int {
-	w := 2
-	for w < n {
-		w *= 2
-	}
-	return w
-}
-
 func log2(w int) uint32 {
 	var s uint32
 	for 1<<s < w {
@@ -233,7 +224,7 @@ func compileTable(d *dfa.DFA, byteClass [256]byte, ids []int, workers int) (*Tab
 	if d.Out == nil {
 		return nil, fmt.Errorf("kernel: DFA lacks output sets")
 	}
-	width := widthFor(d.Syms)
+	width := alphabet.RowWidth(d.Syms)
 	shift := log2(width)
 	n := d.NumStates()
 	if uint64(n)<<shift >= 1<<31 {
@@ -258,8 +249,13 @@ func compileTable(d *dfa.DFA, byteClass [256]byte, ids []int, workers int) (*Tab
 		shift:     shift,
 		start:     uint32(d.Start) << shift,
 	}
+	// flag[s] is FlagOut when state s reports matches, derived once from
+	// Out so the row fill below ORs in a word instead of probing an
+	// output set per entry.
+	flag := make([]uint32, n)
 	for s := 0; s < n; s++ {
 		if len(d.Out[s]) > 0 {
+			flag[s] = FlagOut
 			out := make([]int32, len(d.Out[s]))
 			for i, pid := range d.Out[s] {
 				if pid < 0 || int(pid) >= len(ids) {
@@ -274,19 +270,12 @@ func compileTable(d *dfa.DFA, byteClass [256]byte, ids []int, workers int) (*Tab
 	}
 	fanout.ForRanges(n, workers, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
-			row := s * width
-			for c := 0; c < width; c++ {
-				var next int32
-				if c < d.Syms {
-					next = d.Next[s*d.Syms+c]
-				} else {
-					next = int32(d.Start) // padding columns restart, no flag
-				}
-				e := uint32(next) << shift
-				if c < d.Syms && len(d.Out[next]) > 0 {
-					e |= FlagOut
-				}
-				t.Entries[row+c] = e
+			row := t.Entries[s*width : (s+1)*width]
+			for c, next := range d.Next[s*d.Syms : (s+1)*d.Syms] {
+				row[c] = uint32(next)<<shift | flag[next]
+			}
+			for c := d.Syms; c < width; c++ {
+				row[c] = t.start // padding columns restart, no flag
 			}
 		}
 	})
@@ -594,7 +583,7 @@ func CompileReusing(sys *compose.System, opts Options, prebuilt []*Table) (*Engi
 	// not a full table build.
 	total := 0
 	for _, d := range sys.Slots {
-		total += d.NumStates() * widthFor(d.Syms) * 4
+		total += d.NumStates() * alphabet.RowWidth(d.Syms) * 4
 		if total > o.MaxTableBytes {
 			return nil, fmt.Errorf("%w: %d slots need > %d bytes", ErrBudget, len(sys.Slots), o.MaxTableBytes)
 		}
@@ -836,7 +825,7 @@ func (e *Engine) CarryTables() []CarryScanner { return carryScanners(e.Tables) }
 // Footprint reports the dense tables, plus the pair tables on the
 // stride-2 rung; both make up the resident working set there.
 func (e *Engine) Footprint() Footprint {
-	fp := Footprint{KernelTableBytes: e.TableBytes()}
+	fp := Footprint{KernelTableBytes: e.TableBytes(), Slots: len(e.Tables)}
 	if e.stride == 2 {
 		fp.PairTableBytes = e.PairBytes()
 	}

@@ -41,7 +41,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cellmatch/internal/alphabet"
 	"cellmatch/internal/compose"
@@ -114,13 +114,20 @@ func PlanShards(patterns [][]byte, red *alphabet.Reduction, budget, maxShards in
 	// duplicates collapse onto the same trie path). The per-pattern
 	// budget check prices the pattern at its own row width, the widest
 	// a single-pattern shard can cost.
+	total := 0
+	for _, p := range patterns {
+		total += len(p)
+	}
+	buf := make([]byte, total) // every reduced image, back to back
 	reduced := make([][]byte, len(patterns))
 	order := make([]int, len(patterns))
 	for i, p := range patterns {
 		if len(p) == 0 {
 			return nil, fmt.Errorf("kernel: pattern %d is empty", i)
 		}
-		reduced[i] = red.Reduce(p)
+		reduced[i] = buf[:len(p):len(p)]
+		buf = buf[len(p):]
+		red.Apply(reduced[i], p)
 		own := (len(p) + 1) * shardEntryBytes(classCount(reduced[i]))
 		if own > budget {
 			return nil, fmt.Errorf("%w: pattern %d alone needs %d bytes, shard budget %d",
@@ -128,8 +135,12 @@ func PlanShards(patterns [][]byte, red *alphabet.Reduction, budget, maxShards in
 		}
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return bytes.Compare(reduced[order[a]], reduced[order[b]]) < 0
+	// Ties keep id order: the stable order, at pdqsort's speed.
+	slices.SortFunc(order, func(a, b int) int {
+		if c := bytes.Compare(reduced[a], reduced[b]); c != 0 {
+			return c
+		}
+		return a - b
 	})
 
 	plan := &ShardPlan{}
@@ -212,7 +223,7 @@ func PlanShards(patterns [][]byte, red *alphabet.Reduction, budget, maxShards in
 // (class 0), at 4 bytes per entry — the same arithmetic compileTable
 // applies to the shard's own reduction.
 func shardEntryBytes(distinct int) int {
-	return widthFor(distinct+1) * 4
+	return alphabet.RowWidth(distinct+1) * 4
 }
 
 // classCount counts distinct reduced symbol classes in one image.
@@ -228,54 +239,32 @@ func classCount(reduced []byte) int {
 	return n
 }
 
-// shardTrie incrementally counts Aho-Corasick goto-trie nodes (the
-// automaton state count) for the packer's size estimate.
+// shardTrie counts the Aho-Corasick goto-trie nodes (the automaton
+// state count) of a shard for the packer's size estimate. Patterns
+// arrive in lexicographic order, and a pattern shares with all earlier
+// ones exactly the prefix it shares with its predecessor, so each adds
+// its length minus that common prefix — no trie is built.
 type shardTrie struct {
-	children map[shardTrieKey]int32
-	nodes    int
-	next     int32
+	last  []byte
+	nodes int
 }
 
-type shardTrieKey struct {
-	node int32
-	sym  byte
-}
+func newShardTrie() *shardTrie { return &shardTrie{nodes: 1} }
 
-func newShardTrie() *shardTrie {
-	return &shardTrie{children: map[shardTrieKey]int32{}, nodes: 1, next: 1}
-}
-
+// wouldAdd is the node count inserting p (>= every pattern so far)
+// would add.
 func (t *shardTrie) wouldAdd(p []byte) int {
-	cur := int32(0)
-	added := 0
-	for _, c := range p {
-		if added > 0 {
-			added++
-			continue
-		}
-		next, ok := t.children[shardTrieKey{cur, c}]
-		if !ok {
-			added++
-			continue
-		}
-		cur = next
+	n := min(len(p), len(t.last))
+	i := 0
+	for i < n && p[i] == t.last[i] {
+		i++
 	}
-	return added
+	return len(p) - i
 }
 
 func (t *shardTrie) insert(p []byte) {
-	cur := int32(0)
-	for _, c := range p {
-		k := shardTrieKey{cur, c}
-		next, ok := t.children[k]
-		if !ok {
-			next = t.next
-			t.next++
-			t.nodes++
-			t.children[k] = next
-		}
-		cur = next
-	}
+	t.nodes += t.wouldAdd(p)
+	t.last = p
 }
 
 // ShardConfig tunes CompileSharded.
@@ -551,10 +540,15 @@ func (s *Sharded) CarryTables() []CarryScanner { return carryScanners(s.AllTable
 // hot at a time.
 func (s *Sharded) Footprint() Footprint {
 	largest := s.MaxShardBytes()
+	slots := 0
+	for _, e := range s.Engines {
+		slots += len(e.Tables)
+	}
 	return Footprint{
 		KernelTableBytes:   s.TableBytes(),
 		Shards:             s.Shards(),
 		MaxShardTableBytes: largest,
+		Slots:              slots,
 		Resident:           largest,
 	}
 }

@@ -1,7 +1,10 @@
 package kernel
 
 import (
+	"bytes"
 	"errors"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -81,7 +84,7 @@ func TestPlanShardsAssignsEveryPatternOnce(t *testing.T) {
 		"aaaabbbb", "ccccdddd",
 	})
 	red := reductionFor(t, pats, false)
-	width := widthFor(red.Classes)
+	width := alphabet.RowWidth(red.Classes)
 	plan, err := PlanShards(pats, red, 16*width*4, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +116,7 @@ func TestPlanShardsPrefixAffinity(t *testing.T) {
 		"prefix-shared-aa", "zzzzzzzzzzzzzzzz", "prefix-shared-bb", "qqqqqqqqqqqqqqqq",
 	})
 	red := reductionFor(t, pats, false)
-	width := widthFor(red.Classes)
+	width := alphabet.RowWidth(red.Classes)
 	// Room for ~2 disjoint 16-byte patterns per shard; the two
 	// prefix-sharers together cost barely more than one.
 	plan, err := PlanShards(pats, red, 40*width*4, 8)
@@ -166,7 +169,7 @@ func shardedFixture(t *testing.T, fold bool) (*Sharded, [][]byte) {
 		"aaaabbbb", "ccccdddd", "abcd", "dcba",
 	})
 	red := reductionFor(t, pats, fold)
-	budget := 16 * widthFor(red.Classes) * 4
+	budget := 16 * red.KernelRowBytes()
 	sh, err := CompileSharded(pats, ShardConfig{CaseFold: fold, MaxTableBytes: budget})
 	if err != nil {
 		t.Fatal(err)
@@ -319,5 +322,57 @@ func TestShardedImageRoundTrip(t *testing.T) {
 	}
 	if _, err := ShardedFromBytes(append(append([]byte(nil), img...), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
+	}
+}
+
+// mapTrie is the map-keyed goto trie the planner's node counter
+// replaced, kept as its oracle.
+type mapTrie struct {
+	children map[[2]int32]int32
+	nodes    int32
+}
+
+func (t *mapTrie) insert(p []byte) {
+	cur := int32(0)
+	for _, c := range p {
+		k := [2]int32{cur, int32(c)}
+		next, ok := t.children[k]
+		if !ok {
+			t.nodes++
+			next = t.nodes
+			t.children[k] = next
+		}
+		cur = next
+	}
+}
+
+// TestShardTrieCountsSortedRuns holds the planner's prefix counter to
+// a real trie: over runs of sorted patterns (duplicates and patterns
+// that prefix others included), wouldAdd and the running node count
+// agree at every step.
+func TestShardTrieCountsSortedRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 200; trial++ {
+		pats := make([][]byte, 1+rng.Intn(60))
+		for i := range pats {
+			pats[i] = make([]byte, 1+rng.Intn(6))
+			for j := range pats[i] {
+				pats[i][j] = byte(rng.Intn(3))
+			}
+		}
+		slices.SortFunc(pats, bytes.Compare)
+		got := newShardTrie()
+		want := &mapTrie{children: map[[2]int32]int32{}}
+		for i, p := range pats {
+			before := want.nodes
+			want.insert(p)
+			if add := got.wouldAdd(p); add != int(want.nodes-before) {
+				t.Fatalf("trial %d pattern %d: wouldAdd %d, trie grew %d", trial, i, add, want.nodes-before)
+			}
+			got.insert(p)
+			if got.nodes != int(want.nodes)+1 {
+				t.Fatalf("trial %d pattern %d: %d nodes, trie has %d", trial, i, got.nodes, want.nodes+1)
+			}
+		}
 	}
 }

@@ -31,8 +31,9 @@ func (s *STT) Stride() int { return 0 }
 // Units is 1: every slot scans in one work item.
 func (s *STT) Units() int { return 1 }
 
-// Footprint is empty: the stt path has no kernel tables.
-func (s *STT) Footprint() Footprint { return Footprint{} }
+// Footprint reports only the slot count: the stt path has no kernel
+// tables.
+func (s *STT) Footprint() Footprint { return Footprint{Slots: len(s.sys.Slots)} }
 
 // FindAll scans data as one piece, sorted by (End, Pattern) — the
 // output of compose.System.Scan, whose tile-group split reconciles to

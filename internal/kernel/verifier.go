@@ -52,6 +52,7 @@ type Footprint struct {
 	CompressedTableBytes int // compressed-row tables (0 off that rung)
 	Shards               int // shard count (0 off the sharded rung)
 	MaxShardTableBytes   int // largest single shard (0 off the sharded rung)
+	Slots                int // automata each input byte passes through
 	Resident             int
 }
 

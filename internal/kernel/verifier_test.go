@@ -48,7 +48,7 @@ func contractFixture(t *testing.T) ([]contractVerifier, *STT, *compose.System) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := CompileSharded(pats, ShardConfig{MaxTableBytes: 16 * widthFor(sys.Red.Classes) * 4})
+	sharded, err := CompileSharded(pats, ShardConfig{MaxTableBytes: 16 * sys.Red.KernelRowBytes()})
 	if err != nil {
 		t.Fatal(err)
 	}

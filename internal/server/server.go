@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -256,10 +257,19 @@ type ScanResponse struct {
 
 // readBody reads a capped request body, answering 413 only for the
 // size cap, 429 when a metered chunked body overflowed the admission
-// byte budget mid-read; other read failures (client aborts, resets)
-// are 400.
+// byte budget mid-read; other read failures (client aborts, resets,
+// a body shorter than its Content-Length) are 400. A declared length
+// within the cap is read by readDeclared; bodies of unknown length
+// grow their buffer as they arrive.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	var data []byte
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= s.cfg.MaxBodyBytes {
+		data, err = readDeclared(body, n)
+	} else {
+		data, err = io.ReadAll(body)
+	}
 	if err != nil {
 		var mbe *http.MaxBytesError
 		switch {
@@ -274,6 +284,36 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		return nil, false
 	}
 	return data, true
+}
+
+// bodyPresize caps the buffer readDeclared allocates before any body
+// byte has arrived.
+const bodyPresize = 1 << 20
+
+// readDeclared reads a body of declared length n. The buffer starts at
+// min(n, bodyPresize) — one allocation for typical scan bodies — and
+// doubles, never past n, only as bytes arrive, so a client that
+// declares a large body and stalls holds no more memory than it has
+// sent (within 2x). A body that ends short of n is io.ErrUnexpectedEOF.
+func readDeclared(r io.Reader, n int64) ([]byte, error) {
+	buf := make([]byte, 0, min(n, bodyPresize))
+	for int64(len(buf)) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, int(min(n-int64(len(buf)), int64(len(buf)))))
+		}
+		m, err := r.Read(buf[len(buf):min(int64(cap(buf)), n)])
+		buf = buf[:len(buf)+m]
+		if int64(len(buf)) == n {
+			break
+		}
+		if err == io.EOF {
+			return nil, io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // current captures the tenant's live dictionary entry, or fails the
@@ -543,7 +583,10 @@ type ReloadResponse struct {
 	Generation uint64 `json:"generation"`
 	Source     string `json:"source"`
 	Patterns   int    `json:"patterns"`
-	States     int    `json:"states"`
+	// States counts the states of the automata that scan the new
+	// dictionary (core.Matcher.LiveStats); the Figure 3 Cell model is
+	// on /stats.
+	States int `json:"states"`
 	// Engine is the new dictionary's live scan engine ("stride2",
 	// "kernel", "compressed", "sharded", or "stt"); Shards its shard
 	// count (0 unless sharded); Stride its transition stride (2 on the
@@ -583,7 +626,14 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		err     error
 	)
 	if path := q.Get("path"); path != "" {
-		opts := core.Options{CaseFold: q.Get("casefold") == "1"}
+		// The tenant keeps its compile options (engine rung, stride,
+		// filter, groups...) across a retarget; only case folding is
+		// the request's to choose.
+		var opts core.Options
+		if live := tn.reg.Current(); live != nil {
+			opts = live.Matcher.Options()
+		}
+		opts.CaseFold = q.Get("casefold") == "1"
 		format := q.Get("format")
 		if mode == "delta" {
 			// Delta retarget: the loader sees the live matcher and
@@ -636,7 +686,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	st := e.Matcher.Stats()
+	st := e.Matcher.LiveStats()
 	writeJSON(w, http.StatusOK, ReloadResponse{
 		Tenant:     tn.name,
 		Generation: e.Generation,

@@ -808,9 +808,10 @@ func TestStrideKnobEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Dictionary.Engine != "stride2" || st.Dictionary.Stride != 2 || st.Dictionary.PairTableBytes <= 0 {
-		t.Fatalf("/stats dictionary = engine %q stride %d pair %d, want stride-2 shape",
-			st.Dictionary.Engine, st.Dictionary.Stride, st.Dictionary.PairTableBytes)
+	if st.Dictionary.Engine != "stride2" || st.Dictionary.Stride != 2 || st.Dictionary.PairTableBytes <= 0 ||
+		st.Dictionary.Slots != 1 {
+		t.Fatalf("/stats dictionary = engine %q stride %d pair %d slots %d, want one stride-2 slot",
+			st.Dictionary.Engine, st.Dictionary.Stride, st.Dictionary.PairTableBytes, st.Dictionary.Slots)
 	}
 	// A hot-swap onto the same rung must report the stride in the
 	// reload response — dashboards alert on silent rung changes.
