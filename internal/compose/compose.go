@@ -101,22 +101,22 @@ func partitionFrom(patterns [][]byte, red *alphabet.Reduction, maxStates, startI
 	var groups [][]int
 	var states []int
 	var cur []int
-	trie := newTrieCounter(red)
+	trie := dfa.NewTrieCounter(red)
 	for i, p := range patterns[startID:] {
 		id := startID + i
 		if err := checkPattern(id, p, maxStates); err != nil {
 			return nil, nil, err
 		}
-		if trie.nodes+trie.wouldAdd(p) > maxStates && len(cur) > 0 {
-			groups, states = append(groups, cur), append(states, trie.nodes)
+		if trie.States()+trie.WouldAdd(p) > maxStates && len(cur) > 0 {
+			groups, states = append(groups, cur), append(states, trie.States())
 			cur = nil
-			trie.reset()
+			trie.Reset()
 		}
-		trie.insert(p)
+		trie.Insert(p)
 		cur = append(cur, id)
 	}
 	if len(cur) > 0 {
-		groups, states = append(groups, cur), append(states, trie.nodes)
+		groups, states = append(groups, cur), append(states, trie.States())
 	}
 	return groups, states, nil
 }
@@ -132,53 +132,6 @@ func checkPattern(id int, p []byte, maxStates int) error {
 			"compose: pattern %d needs %d states, budget is %d", id, len(p)+1, maxStates)
 	}
 	return nil
-}
-
-// trieCounter incrementally counts Aho-Corasick goto-trie states over
-// raw pattern bytes: a dense child table (one row per state, one entry
-// per reduced symbol, 0 = no child since the root is never a child).
-type trieCounter struct {
-	red   *alphabet.Reduction
-	next  []int32
-	nodes int
-}
-
-func newTrieCounter(red *alphabet.Reduction) *trieCounter {
-	return &trieCounter{red: red, next: make([]int32, red.Classes), nodes: 1}
-}
-
-// reset empties the trie to its root, keeping the table's storage.
-func (t *trieCounter) reset() {
-	t.next = t.next[:t.red.Classes]
-	clear(t.next)
-	t.nodes = 1
-}
-
-// wouldAdd is the number of states inserting p would create.
-func (t *trieCounter) wouldAdd(p []byte) int {
-	syms := t.red.Classes
-	cur := int32(0)
-	for i, raw := range p {
-		cur = t.next[int(cur)*syms+int(t.red.Map[raw])]
-		if cur == 0 {
-			return len(p) - i
-		}
-	}
-	return 0
-}
-
-func (t *trieCounter) insert(p []byte) {
-	syms := t.red.Classes
-	cur := 0
-	for _, raw := range p {
-		e := cur*syms + int(t.red.Map[raw])
-		if t.next[e] == 0 {
-			t.next[e] = int32(t.nodes)
-			t.nodes++
-			t.next = append(t.next, make([]int32, syms)...)
-		}
-		cur = int(t.next[e])
-	}
 }
 
 // System is a composed matcher: a topology plus the per-series-slot

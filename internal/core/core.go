@@ -108,7 +108,7 @@ type EngineOptions struct {
 	// paper's SPE input portions) on every path: FindAll, Count, and
 	// each chunk of FindAllParallel, the pool and ScanReader. 1 pins the
 	// single-stream loop everywhere, 2..8 force K lanes, 0 picks by
-	// piece length: 4 lanes from 2 KiB up, the serial loop below (the
+	// piece length: 4 lanes from 1 KiB up, the serial loop below (the
 	// stride-2 pair loops stay serial unless pinned, the compressed
 	// tier's chunk scans always do).
 	InterleaveK int

@@ -189,3 +189,58 @@ func TrieStates(patterns [][]byte, red *alphabet.Reduction) int {
 	}
 	return int(n)
 }
+
+// TrieCounter incrementally counts Aho-Corasick goto-trie states over
+// raw pattern bytes: a dense child table (one row per state, one entry
+// per reduced symbol, 0 = no child since the root is never a child).
+// Callers that test a budget after every pattern (the tile partition,
+// the workload generator) pay for each pattern once; TrieStates stays
+// the independent whole-dictionary count tests check it against.
+type TrieCounter struct {
+	red   *alphabet.Reduction
+	next  []int32
+	nodes int
+}
+
+// NewTrieCounter starts a trie holding only the root under red.
+func NewTrieCounter(red *alphabet.Reduction) *TrieCounter {
+	return &TrieCounter{red: red, next: make([]int32, red.Classes), nodes: 1}
+}
+
+// States is the trie's state count, the root included.
+func (t *TrieCounter) States() int { return t.nodes }
+
+// Reset empties the trie to its root, keeping the table's storage.
+func (t *TrieCounter) Reset() {
+	t.next = t.next[:t.red.Classes]
+	clear(t.next)
+	t.nodes = 1
+}
+
+// WouldAdd is the number of states inserting p would create.
+func (t *TrieCounter) WouldAdd(p []byte) int {
+	syms := t.red.Classes
+	cur := int32(0)
+	for i, raw := range p {
+		cur = t.next[int(cur)*syms+int(t.red.Map[raw])]
+		if cur == 0 {
+			return len(p) - i
+		}
+	}
+	return 0
+}
+
+// Insert adds p's states to the trie.
+func (t *TrieCounter) Insert(p []byte) {
+	syms := t.red.Classes
+	cur := 0
+	for _, raw := range p {
+		e := cur*syms + int(t.red.Map[raw])
+		if t.next[e] == 0 {
+			t.next[e] = int32(t.nodes)
+			t.nodes++
+			t.next = append(t.next, make([]int32, syms)...)
+		}
+		cur = int(t.next[e])
+	}
+}

@@ -190,6 +190,34 @@ func TestTrieStatesSharedPrefix(t *testing.T) {
 	}
 }
 
+// TrieCounter agrees with TrieStates, the whole-dictionary reference,
+// after every pattern: WouldAdd predicts exactly what Insert adds,
+// under the identity and the case-folding reductions, and Reset
+// returns to the bare root.
+func TestTrieCounterMatchesTrieStates(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, red := range []*alphabet.Reduction{alphabet.Identity(), alphabet.CaseFold32()} {
+		tc := NewTrieCounter(red)
+		var ps [][]byte
+		for i := 0; i < 200; i++ {
+			p := make([]byte, 1+rng.Intn(6))
+			for j := range p {
+				p[j] = "aAbBc"[rng.Intn(5)]
+			}
+			before, add := tc.States(), tc.WouldAdd(p)
+			tc.Insert(p)
+			ps = append(ps, p)
+			if want := TrieStates(ps, red); tc.States() != want || before+add != want {
+				t.Fatalf("classes=%d pattern %d: %d states (%d + predicted %d), TrieStates %d", red.Classes, i, tc.States(), before, add, want)
+			}
+		}
+		tc.Reset()
+		if tc.States() != 1 || tc.WouldAdd(ps[0]) != len(ps[0]) {
+			t.Fatalf("classes=%d: after Reset %d states, WouldAdd %d", red.Classes, tc.States(), tc.WouldAdd(ps[0]))
+		}
+	}
+}
+
 func TestACStartNotAccepting(t *testing.T) {
 	d, err := FromPatterns(pats("A"), nil)
 	if err != nil {

@@ -24,12 +24,23 @@
 // Every 1-byte entry point — FindAll, Count, and ScanChunk, which
 // scans each pooled chunk of internal/parallel — picks its loop by one
 // rule on the piece length (chooseK): pieces of at least laneMinBytes
-// (2 KiB, and 16 overlaps) scan as 4 lanes in a hand-unrolled loop
-// (scan4), shorter ones on the serial loop. Options.InterleaveK 1 pins
-// the serial loop everywhere; 2..MaxInterleave pin that many lanes,
-// run by a generic lockstep loop unless the count is 4. The compressed
-// tier's FindAll and Count share the rule (its ScanChunk stays
-// serial); the stride-2 pair loops stay serial unless pinned.
+// (1 KiB, and 16 overlaps) scan as 4 lanes (scan4), shorter ones on
+// the serial loop. Options.InterleaveK 1 pins the serial loop
+// everywhere; 2..MaxInterleave pin that many lanes, run by a generic
+// lockstep loop unless the count is 4. The compressed tier's FindAll
+// and Count share the rule (its ScanChunk stays serial); the stride-2
+// pair loops stay serial unless pinned.
+//
+// The 4-lane loop is split in two, the host form of the register
+// pressure that the paper's Table 1 measures across its unrolled SPU
+// kernels. A leaf (step4) advances the four lanes with no call in its
+// body and returns at the first byte where any lane's entry carries
+// FlagOut; scan4 emits that byte's matches and resumes the leaf. Go's
+// register ABI has no callee-saved registers, so a loop that contains
+// a call keeps the four lane rows on the stack across it, and every
+// lane's dependent load chain pays a store-to-load forward per byte,
+// as the paper's spilling unroll does. Matches are sparse on the
+// served workloads, so the leaf runs long stretches between exits.
 //
 // Lane boundaries reuse interleave.SplitWithOverlap: each lane re-scans
 // an overlap window of MaxPatternLen-1 bytes from the root and drops
@@ -89,12 +100,15 @@ const (
 	laneK = 4
 
 	// laneMinBytes is the piece length from which chooseK scans as laneK
-	// lanes, picked from a piece-size sweep (64 B to 256 KiB, 1499- and
-	// 31226-state dictionaries, 2-vCPU Xeon): the unrolled dense loop
-	// beat the serial loop from 256 B (1.8-2.4x at 512 B), the generic
-	// compressed loop lost at 512 B and won by 1.2-1.3x from 1 KiB. The
-	// cut sits one doubling above that, where both win clearly.
-	laneMinBytes = 2 << 10
+	// lanes, picked from a piece-size sweep of the call-free lane loop
+	// (BenchmarkLanes: 256 B to 8 KiB and 256 KiB, the 1499- and
+	// 29996-state dictionaries, 2-vCPU Xeon, median of 5). scan4 against
+	// the serial loop: 1.1x/1.7x at 256 B, 1.9x/2.6x at 512 B, 2.4x/3.0x
+	// at 1 KiB, 2.7x/3.0x at 2 KiB, 2.4-3.6x from 4 KiB. The loop that
+	// spilled its lane rows measured 1.5x/2.0x at 1 KiB, which is why
+	// the cut sat at 2 KiB. It now sits one doubling above 512 B, where
+	// both dictionaries already win clearly.
+	laneMinBytes = 1 << 10
 )
 
 // ErrBudget is returned by Compile when the dictionary's dense tables
@@ -110,7 +124,7 @@ type Options struct {
 	// InterleaveK forces the lane count of the 1-byte scan loops at
 	// every entry point, ScanChunk (pooled chunks) included: 1 pins the
 	// single-stream loop, 2..MaxInterleave force K lanes, 0 applies the
-	// piece-length rule (4 lanes from 2 KiB, see chooseK). The stride-2
+	// piece-length rule (4 lanes from 1 KiB, see chooseK). The stride-2
 	// pair loops run serially unless this pins a lane count.
 	InterleaveK int
 	// Stride selects the symbols consumed per table transition.
@@ -436,51 +450,74 @@ func laneCut(c interleave.Chunk, base, dedupe int) (int, int) {
 	return base + c.Start, max(c.Overlap, dedupe-c.Start)
 }
 
-// scan4 is scanLanes hand-unrolled for laneK = 4 lanes, the lane count
-// chooseK picks: lane cursors live in locals, each lane's bytes are
-// sliced once, and the hot path carries one flag test for all four
-// entries. The lanes advance in lockstep over the shortest lane's
-// length, then each drains its tail serially.
+// scan4 is scanLanes for laneK = 4 lanes, the lane count chooseK
+// picks. The lanes advance in lockstep over the shortest lane's length
+// inside step4, a call-free leaf that returns at the first byte where
+// any lane's entry carries FlagOut; scan4 emits the flagged lanes'
+// matches out of line and resumes the leaf from the next byte. Then
+// each lane drains its tail serially. With emit's append out of the
+// leaf, the four lane rows stay in registers between matches instead
+// of on the stack (see the package comment).
 func (t *Table) scan4(piece []byte, chunks []interleave.Chunk, base, dedupe int, sink *[]dfa.Match) int {
-	l0 := piece[chunks[0].Start:chunks[0].End]
-	l1 := piece[chunks[1].Start:chunks[1].End]
-	l2 := piece[chunks[2].Start:chunks[2].End]
-	l3 := piece[chunks[3].Start:chunks[3].End]
-	b0, d0 := laneCut(chunks[0], base, dedupe)
-	b1, d1 := laneCut(chunks[1], base, dedupe)
-	b2, d2 := laneCut(chunks[2], base, dedupe)
-	b3, d3 := laneCut(chunks[3], base, dedupe)
-	n := min(len(l0), len(l1), len(l2), len(l3))
-	x0, x1, x2, x3 := l0[:n], l1[:n], l2[:n], l3[:n]
-	entries := t.Entries
-	cls := &t.ByteClass
-	s0, s1, s2, s3 := t.start, t.start, t.start, t.start
+	var l lanes4
+	var lb, ld [laneK]int
+	n := len(piece)
+	for i, c := range chunks {
+		lb[i], ld[i] = laneCut(c, base, dedupe)
+		l.s[i] = t.start
+		n = min(n, c.Len())
+	}
+	for i, c := range chunks {
+		l.x[i] = piece[c.Start : c.Start+n]
+	}
 	kept := 0
-	for p := range x0 {
+	for p := step4(t.Entries, &t.ByteClass, &l, 0); p < n; p = step4(t.Entries, &t.ByteClass, &l, p+1) {
+		for i, e := range l.s {
+			if e&FlagOut != 0 {
+				kept += t.emit(e, p+1, lb[i], ld[i], sink)
+			}
+		}
+	}
+	for i, c := range chunks {
+		kept += t.scanFrom(piece[c.Start:c.End], n, l.s[i]&rowMask, lb[i], ld[i], sink)
+	}
+	return kept
+}
+
+// lanes4 is scan4's lane state across step4 calls: each lane's bytes,
+// all cut to one length, and each lane's last entry (row | FlagOut).
+type lanes4 struct {
+	x [laneK][]byte
+	s [laneK]uint32
+}
+
+// step4 advances the four lanes of l in lockstep from byte p and
+// returns the first offset at which any lane's entry carries FlagOut,
+// with l.s holding the four entries of that byte, or len(l.x[0]) with
+// l.s holding the final entries. It makes no call (bounds failures
+// aside) and must stay that way: see scan4. It is never inlined, so
+// its registers are its own and CI can disassemble it by name.
+//
+//go:noinline
+func step4(entries []uint32, cls *[256]byte, l *lanes4, p int) int {
+	_ = cls[0] // one nil check here, none inside the loop
+	x0 := l.x[0]
+	x1, x2, x3 := l.x[1][:len(x0)], l.x[2][:len(x0)], l.x[3][:len(x0)]
+	s0, s1, s2, s3 := l.s[0]&rowMask, l.s[1]&rowMask, l.s[2]&rowMask, l.s[3]&rowMask
+	for ; p < len(x0); p++ {
 		e0 := entries[s0+uint32(cls[x0[p]])]
 		e1 := entries[s1+uint32(cls[x1[p]])]
 		e2 := entries[s2+uint32(cls[x2[p]])]
 		e3 := entries[s3+uint32(cls[x3[p]])]
 		if (e0|e1|e2|e3)&FlagOut != 0 {
-			if e0&FlagOut != 0 {
-				kept += t.emit(e0, p+1, b0, d0, sink)
-			}
-			if e1&FlagOut != 0 {
-				kept += t.emit(e1, p+1, b1, d1, sink)
-			}
-			if e2&FlagOut != 0 {
-				kept += t.emit(e2, p+1, b2, d2, sink)
-			}
-			if e3&FlagOut != 0 {
-				kept += t.emit(e3, p+1, b3, d3, sink)
-			}
+			l.s = [laneK]uint32{e0, e1, e2, e3}
+			return p
 		}
-		s0, s1, s2, s3 = e0&rowMask, e1&rowMask, e2&rowMask, e3&rowMask
+		// No flag is set, so the entries are the bare rows.
+		s0, s1, s2, s3 = e0, e1, e2, e3
 	}
-	kept += t.scanFrom(l0, n, s0, b0, d0, sink)
-	kept += t.scanFrom(l1, n, s1, b1, d1, sink)
-	kept += t.scanFrom(l2, n, s2, b2, d2, sink)
-	return kept + t.scanFrom(l3, n, s3, b3, d3, sink)
+	l.s = [laneK]uint32{s0, s1, s2, s3}
+	return p
 }
 
 // scanK is scanLanes for any other pinned lane count

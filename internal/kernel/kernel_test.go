@@ -276,7 +276,7 @@ func TestInterleaveForHeuristic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := auto.InterleaveFor(1 << 10); k != 1 {
+	if k := auto.InterleaveFor(laneMinBytes - 1); k != 1 {
 		t.Fatalf("small input picked k=%d", k)
 	}
 	if k := auto.InterleaveFor(1 << 20); k <= 1 {

@@ -43,8 +43,8 @@ func Dictionary(cfg DictConfig) ([][]byte, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	red := alphabet.CaseFold32()
 	var pats [][]byte
-	states := 1
-	for i := 0; states+cfg.PatternLen <= cfg.TargetStates; i++ {
+	trie := dfa.NewTrieCounter(red)
+	for i := 0; trie.States()+cfg.PatternLen <= cfg.TargetStates; i++ {
 		p := make([]byte, cfg.PatternLen)
 		// Distinct two-byte prefix guarantees near-disjoint tries.
 		p[0] = byte('A' + i%26)
@@ -52,12 +52,11 @@ func Dictionary(cfg DictConfig) ([][]byte, error) {
 		for j := 2; j < cfg.PatternLen; j++ {
 			p[j] = byte('A' + rng.Intn(26))
 		}
-		pats = append(pats, p)
-		states = dfa.TrieStates(pats, red)
-		if states > cfg.TargetStates {
-			pats = pats[:len(pats)-1]
+		if trie.States()+trie.WouldAdd(p) > cfg.TargetStates {
 			break
 		}
+		trie.Insert(p)
+		pats = append(pats, p)
 	}
 	if len(pats) == 0 {
 		return nil, fmt.Errorf("workload: could not fit any pattern under %d states", cfg.TargetStates)

@@ -2,7 +2,10 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
+	"time"
 
 	"cellmatch/internal/alphabet"
 	"cellmatch/internal/dfa"
@@ -204,5 +207,40 @@ func TestFleetDictionary(t *testing.T) {
 	}
 	if _, err := FleetDictionary(26*26*26*26+1, 1); err == nil {
 		t.Fatal("over-prefix-space fleet accepted")
+	}
+}
+
+// Dictionary output is pinned byte for byte: the served benchmark and
+// the BENCH baselines name their dictionaries by these bytes (one
+// pattern per line, the cellmatchd dictionary file format). The
+// 30000-state build also guards the incremental state count: it took
+// seconds when every appended pattern re-walked the whole dictionary.
+func TestDictionaryPinned(t *testing.T) {
+	for _, c := range []struct {
+		target int
+		seed   int64
+		sha    string
+	}{
+		{1520, 1, "802d439bdb6b2bdc57798dee87e089635373f54568141da6044144d3c60e1045"},
+		{30000, 1, "f567fce887e90b52b60b57b8b54376951c0dc96cc52379e47daad3329842be80"},
+	} {
+		start := time.Now()
+		pats, err := Dictionary(DictConfig{TargetStates: c.target, Seed: c.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		took := time.Since(start)
+		h := sha256.New()
+		for _, p := range pats {
+			h.Write(p)
+			h.Write([]byte{'\n'})
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.sha {
+			t.Errorf("(%d, seed %d): sha256 %s, want %s", c.target, c.seed, got, c.sha)
+		}
+		if states := dfa.TrieStates(pats, alphabet.CaseFold32()); states > c.target {
+			t.Errorf("(%d, seed %d): %d states", c.target, c.seed, states)
+		}
+		t.Logf("(%d, seed %d): %d patterns in %v", c.target, c.seed, len(pats), took)
 	}
 }
