@@ -104,10 +104,9 @@ const (
 	// (BenchmarkLanes: 256 B to 8 KiB and 256 KiB, the 1499- and
 	// 29996-state dictionaries, 2-vCPU Xeon, median of 5). scan4 against
 	// the serial loop: 1.1x/1.7x at 256 B, 1.9x/2.6x at 512 B, 2.4x/3.0x
-	// at 1 KiB, 2.7x/3.0x at 2 KiB, 2.4-3.6x from 4 KiB. The loop that
-	// spilled its lane rows measured 1.5x/2.0x at 1 KiB, which is why
-	// the cut sat at 2 KiB. It now sits one doubling above 512 B, where
-	// both dictionaries already win clearly.
+	// at 1 KiB, 2.7x/3.0x at 2 KiB, 2.4-3.6x from 4 KiB. The cut sits
+	// one doubling above 512 B, where both dictionaries already win
+	// clearly.
 	laneMinBytes = 1 << 10
 )
 

@@ -213,8 +213,8 @@ func TestFleetDictionary(t *testing.T) {
 // Dictionary output is pinned byte for byte: the served benchmark and
 // the BENCH baselines name their dictionaries by these bytes (one
 // pattern per line, the cellmatchd dictionary file format). The
-// 30000-state build also guards the incremental state count: it took
-// seconds when every appended pattern re-walked the whole dictionary.
+// 30000-state build also exercises the incremental state count; a
+// whole-dictionary recount after every pattern takes seconds there.
 func TestDictionaryPinned(t *testing.T) {
 	for _, c := range []struct {
 		target int
