@@ -2,6 +2,7 @@ package cellmatch_test
 
 import (
 	"bytes"
+	"io"
 	"sort"
 	"strings"
 	"testing"
@@ -72,18 +73,19 @@ func FuzzMatcherScan(f *testing.F) {
 
 // FuzzParallelEquivalence: the chunked speculative engine must agree
 // byte-for-byte with the sequential scan for arbitrary dictionaries,
-// worker counts, and chunk sizes — including chunks smaller than the
-// longest pattern — via both FindAllParallel and ScanReader. Inputs up
-// to 16 KiB and chunks up to 8 KiB reach the 4-lane chunk loop, which
-// the 1-byte kernel runs on pieces of 2 KiB and more; the stride-1
-// opt-out takes it there on stride-2 matchers too.
+// worker counts, chunk sizes — including chunks smaller than the
+// longest pattern — and read-split schedules, via FindAllParallel,
+// ReadFindAll (chunks scanned as the body arrives) and ScanReader.
+// Inputs up to 16 KiB and chunks up to 8 KiB reach the 4-lane chunk
+// loop, which the 1-byte kernel runs on pieces of 1 KiB and more; the
+// stride-1 opt-out takes it there on stride-2 matchers too.
 func FuzzParallelEquivalence(f *testing.F) {
-	f.Add([]byte("abra"), []byte("abracadabra"), []byte("abracadabra abracadabra"), uint8(4), uint16(3))
-	f.Add([]byte("aa"), []byte("aaa"), []byte("aaaaaaaaaaaaaaaa"), uint8(2), uint16(1))
-	f.Add([]byte{0xFF, 0x00}, []byte{0x01}, bytes.Repeat([]byte{0xFF, 0x00, 0x01}, 40), uint8(7), uint16(64))
-	f.Add([]byte("virus"), []byte("rus"), []byte("a virus in a worm"), uint8(1), uint16(1024))
-	f.Add([]byte("virus"), []byte("us a w"), bytes.Repeat([]byte("a virus in a worm "), 600), uint8(2), uint16(5000))
-	f.Fuzz(func(t *testing.T, p1, p2, data []byte, workers uint8, chunk uint16) {
+	f.Add([]byte("abra"), []byte("abracadabra"), []byte("abracadabra abracadabra"), uint8(4), uint16(3), []byte{0, 2, 5})
+	f.Add([]byte("aa"), []byte("aaa"), []byte("aaaaaaaaaaaaaaaa"), uint8(2), uint16(1), []byte{1})
+	f.Add([]byte{0xFF, 0x00}, []byte{0x01}, bytes.Repeat([]byte{0xFF, 0x00, 0x01}, 40), uint8(7), uint16(64), []byte{63, 0, 64, 200})
+	f.Add([]byte("virus"), []byte("rus"), []byte("a virus in a worm"), uint8(1), uint16(1024), []byte{})
+	f.Add([]byte("virus"), []byte("us a w"), bytes.Repeat([]byte("a virus in a worm "), 600), uint8(2), uint16(5000), []byte{255, 17, 3})
+	f.Fuzz(func(t *testing.T, p1, p2, data []byte, workers uint8, chunk uint16, split []byte) {
 		if len(p1) == 0 || len(p2) == 0 || len(p1) > 32 || len(p2) > 32 || len(data) > 16<<10 {
 			return
 		}
@@ -117,6 +119,30 @@ func FuzzParallelEquivalence(f *testing.F) {
 			}
 		}
 		opts.DisableStride2 = false
+		// The body arriving in reads of the fuzzed split schedule: each
+		// byte s is one read of up to 16*s+1 bytes, the schedule cycling.
+		// Chunks are scanned as soon as their bytes are in.
+		pool := parallel.NewPool(2)
+		defer pool.Close()
+		for _, po := range []core.ParallelOptions{opts, {ChunkBytes: opts.ChunkBytes, Pool: pool}} {
+			read, arrived, err := m.ReadFindAll(&scheduledReader{data: data, split: split}, len(data), nil, po)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(read, data) {
+				t.Fatalf("ReadFindAll read back %d bytes that differ from the body", len(read))
+			}
+			if len(arrived) != len(want) {
+				t.Fatalf("ReadFindAll %d matches, sequential %d (chunk=%d split=%v)",
+					len(arrived), len(want), po.ChunkBytes, split)
+			}
+			for i := range want {
+				if arrived[i] != want[i] {
+					t.Fatalf("ReadFindAll match %d: %+v, want %+v (chunk=%d split=%v)",
+						i, arrived[i], want[i], po.ChunkBytes, split)
+				}
+			}
+		}
 		streamed, err := m.ScanReader(bytes.NewReader(data), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -131,6 +157,28 @@ func FuzzParallelEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// scheduledReader returns data in reads sized by a cycling schedule:
+// byte s of split caps one read at 16*s+1 bytes.
+type scheduledReader struct {
+	data  []byte
+	split []byte
+	next  int
+}
+
+func (r *scheduledReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	if len(r.split) > 0 {
+		s := int(r.split[r.next%len(r.split)])
+		r.next++
+		p = p[:min(len(p), 16*s+1)]
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
 }
 
 // FuzzKernelEquivalence: the dense compiled kernel must agree with the

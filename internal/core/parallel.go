@@ -56,6 +56,25 @@ func (m *Matcher) FindAllParallel(data []byte, opts ParallelOptions) ([]Match, e
 	return convertMatches(raw), nil
 }
 
+// ReadFindAll reads a payload of declared length n >= 0 from r into
+// buf — its capacity reused, grown only as bytes arrive — and scans it
+// while it arrives: each chunk of FindAllParallel's grid goes to the
+// workers as soon as its bytes, overlap prefix included, have been
+// read, so the scan of the early chunks overlaps the read of the later
+// ones (the paper's double buffering, Section 4). Only the calling
+// goroutine reads r. It returns the bytes read, their matches —
+// byte-identical to FindAllParallel over them — and the read's error:
+// a payload that ends short of n is io.ErrUnexpectedEOF, and data then
+// holds what did arrive. No scan still reads data once ReadFindAll
+// returns, so the caller may recycle it.
+func (m *Matcher) ReadFindAll(r io.Reader, n int, buf []byte, opts ParallelOptions) ([]byte, []Match, error) {
+	data, raw, err := parallel.ScanArriving(m.sys, r, n, buf, m.engineOpts(opts))
+	if err != nil {
+		return data, nil, err
+	}
+	return data, convertMatches(raw), nil
+}
+
 // FindAllBatch scans every payload independently and returns one match
 // slice per payload, each byte-identical to FindAll over that payload
 // alone. All payloads' chunk jobs are flattened into a single task set

@@ -846,9 +846,13 @@ func (e *Compressed) TableBytes() int {
 	return total
 }
 
-// InterleaveFor reports the lane count FindAll would use on an input
-// of n bytes (diagnostics and benchmarks).
-func (e *Compressed) InterleaveFor(n int) int { return chooseK(e.opts.InterleaveK, n, e.overlap()) }
+// InterleaveFor reports the lane count FindAll and Count use on an
+// input of n bytes: serial unless Options.InterleaveK pins lanes. The
+// compressed rows take a data-dependent branch per byte (hot row or
+// cold search), and the generic K-way loop measured slower than the
+// serial loop at every piece size of BenchmarkCompressedLanes, so the
+// dense rung's chooseK rule does not apply here.
+func (e *Compressed) InterleaveFor(int) int { return min(max(e.opts.InterleaveK, 1), MaxInterleave) }
 
 func (e *Compressed) overlap() int {
 	if e.MaxPatternLen > 0 {

@@ -247,19 +247,18 @@ func TestCompressedHotColdBoundary(t *testing.T) {
 }
 
 // InterleaveFor mirrors FindAll's lane policy: explicit InterleaveK
-// wins (clamped to MaxInterleave), auto mode stays serial under the
-// small-input threshold.
+// wins (clamped to MaxInterleave); unpinned, the compressed rung scans
+// serially at every input length.
 func TestCompressedInterleaveFor(t *testing.T) {
 	sys := testSystem(t, []string{"virus", "worm"}, false)
 	auto, err := CompileCompressed(sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := auto.InterleaveFor(laneMinBytes - 1); got != 1 {
-		t.Fatalf("auto small input: k=%d want 1", got)
-	}
-	if got := auto.InterleaveFor(laneMinBytes); got != laneK {
-		t.Fatalf("auto large input: k=%d want %d", got, laneK)
+	for _, n := range []int{0, laneMinBytes - 1, laneMinBytes, 1 << 20} {
+		if got := auto.InterleaveFor(n); got != 1 {
+			t.Fatalf("unpinned, %d bytes: k=%d want 1", n, got)
+		}
 	}
 	pinned, err := CompileCompressed(sys, Options{InterleaveK: 3})
 	if err != nil {

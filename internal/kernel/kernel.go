@@ -27,9 +27,8 @@
 // (1 KiB, and 16 overlaps) scan as 4 lanes (scan4), shorter ones on
 // the serial loop. Options.InterleaveK 1 pins the serial loop
 // everywhere; 2..MaxInterleave pin that many lanes, run by a generic
-// lockstep loop unless the count is 4. The compressed tier's FindAll
-// and Count share the rule (its ScanChunk stays serial); the stride-2
-// pair loops stay serial unless pinned.
+// lockstep loop unless the count is 4. The compressed tier and the
+// stride-2 pair loops stay serial unless pinned.
 //
 // The 4-lane loop is split in two, the host form of the register
 // pressure that the paper's Table 1 measures across its unrolled SPU
@@ -124,7 +123,8 @@ type Options struct {
 	// every entry point, ScanChunk (pooled chunks) included: 1 pins the
 	// single-stream loop, 2..MaxInterleave force K lanes, 0 applies the
 	// piece-length rule (4 lanes from 1 KiB, see chooseK). The stride-2
-	// pair loops run serially unless this pins a lane count.
+	// pair loops and the compressed rows run serially unless this pins
+	// a lane count.
 	InterleaveK int
 	// Stride selects the symbols consumed per table transition.
 	// 0 (auto) compiles the stride-2 pair tables when every slot stays
@@ -715,8 +715,8 @@ func (e *Engine) InterleaveFor(n int) int { return chooseK(e.opts.InterleaveK, n
 // to 2 MiB, so the lane rule does not apply to them.
 func (e *Engine) pairK() int { return max(e.opts.InterleaveK, 1) }
 
-// chooseK is the one lane-count rule of the 1-byte loops, dense and
-// compressed, at every entry point — pooled chunks included. A pinned
+// chooseK is the one lane-count rule of the dense 1-byte loops, at
+// every entry point — pooled chunks included. A pinned
 // lane count wins at any length (1 = the serial loop). Otherwise a
 // piece scans as laneK lanes once it is at least laneMinBytes long and
 // at least laneK*laneK times the overlap, so the three overlap

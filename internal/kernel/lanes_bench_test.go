@@ -56,3 +56,41 @@ func BenchmarkLanes(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCompressedLanes is BenchmarkLanes for the compressed rung:
+// FindAll on one-slot compressed tables of the same two dictionaries,
+// at the lane count its own rule picks for each piece size:
+//
+//	go test ./internal/kernel -run '^$' -bench CompressedLanes -count 5
+func BenchmarkCompressedLanes(b *testing.B) {
+	for _, target := range []int{1520, 30000} {
+		pats, err := workload.Dictionary(workload.DictConfig{TargetStates: target, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys, err := compose.NewSystem(pats, compose.Config{CaseFold: true, HostTableBytes: DefaultMaxTableBytes})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e, err := CompileCompressed(sys, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		data, _, err := workload.Traffic(workload.TrafficConfig{
+			Bytes: 256 << 10, MatchEvery: 64 << 10, Dictionary: pats, Seed: 21,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, n := range []int{512, 1 << 10, 4 << 10, 64 << 10, 256 << 10} {
+			b.Run(fmt.Sprintf("states=%d/n=%d", e.Tables[0].States, n), func(b *testing.B) {
+				b.SetBytes(int64(len(data)))
+				for i := 0; i < b.N; i++ {
+					for off := 0; off+n <= len(data); off += n {
+						e.FindAll(data[off : off+n])
+					}
+				}
+			})
+		}
+	}
+}

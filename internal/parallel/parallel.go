@@ -24,12 +24,25 @@
 // Verifier.Units() work items scanned by Verifier.ScanUnit with the
 // overlap prefix as the dedupe offset, and no code here names a rung.
 // Adding or removing a rung therefore never touches this package.
+//
+// One chunk scheduler (schedule) cuts every payload into the ChunkBytes
+// grid and submits each chunk's jobs to a Group once the chunk's bytes,
+// overlap prefix included, are present. Scan and ScanMany hand it bytes
+// that are all present already. ScanArriving hands it a body while the
+// body is still being read, which is the paper's double buffering
+// (Section 4, Figure 5): there one buffer fills by DMA while the SPU
+// matches the other, so the block transfer hides under the scan; here
+// the reading goroutine keeps reading the body into one buffer while
+// the pool workers scan the chunks that have already arrived. The
+// chunk grid, the overlap dedupe and the merge are the same either
+// way, so the output is too.
 package parallel
 
 import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -112,42 +125,189 @@ func overlapOf(sys *compose.System) int {
 // (End, Pattern) — the exact output of compose.System.Scan.
 func Scan(sys *compose.System, data []byte, opts Options) ([]dfa.Match, error) {
 	o := opts.withDefaults(sys)
-	chunks := scanChunks(data, overlapOf(sys), o)
-	out := mergeChunks(chunks, 0, 0)
-	return out, nil
+	return scanChunks(data, overlapOf(sys), o).merge(0, 0), nil
 }
 
-// scanChunks splits raw data into ChunkBytes-sized pieces and scans
-// them on a pool of Workers goroutines (or Options.Pool's shared
-// workers), keeping the extra memory O(Workers x ChunkBytes) instead
-// of O(input). Each chunk fans into one work item per verifier unit
-// (Verifier.Units); results[i*units+u] holds chunk i / unit u's
-// matches in data's coordinates, already deduplicated against chunk
-// i-1's overlap. The flat slice order is irrelevant downstream —
-// mergeChunks re-sorts globally.
-func scanChunks(data []byte, overlap int, o Options) [][]dfa.Match {
-	n := len(data)
-	if n == 0 {
-		return nil
+// scanChunks scans data, every byte of which is present, through one
+// schedule and returns it once every job has run.
+func scanChunks(data []byte, overlap int, o Options) *schedule {
+	g := o.group(o.jobs(len(data)))
+	s := newSchedule(o, overlap, len(data), g)
+	s.arrived(data)
+	g.Wait()
+	return s
+}
+
+// ScanArriving reads a payload of declared length n >= 0 from r with
+// ReadDeclared into buf and scans it while it arrives: each chunk of
+// Scan's grid is submitted to the workers as soon as its bytes,
+// overlap prefix included, have been read, and the calling goroutine
+// keeps reading while they scan. Only the calling goroutine reads r.
+// It returns the bytes read, their matches — identical to Scan over
+// them — and the read's error; on a failed read the matches are nil
+// and data holds what arrived. Every job has finished, and none still
+// reads the buffer, when ScanArriving returns.
+func ScanArriving(sys *compose.System, r io.Reader, n int, buf []byte, opts Options) ([]byte, []dfa.Match, error) {
+	if n < 0 {
+		return buf[:0], nil, fmt.Errorf("parallel: ScanArriving needs a declared length, got %d", n)
 	}
-	nchunks := (n + o.ChunkBytes - 1) / o.ChunkBytes
-	units := o.Verifier.Units()
-	results := make([][]dfa.Match, nchunks*units)
-	tasks := make([]func(), 0, nchunks*units)
-	for i := 0; i < nchunks; i++ {
-		start := i * o.ChunkBytes
-		end := min(start+o.ChunkBytes, n)
-		ov := min(overlap, start)
-		segs := o.segmentProvider(data[start-ov : end])
-		for u := 0; u < units; u++ {
-			i, u := i, u
-			tasks = append(tasks, func() {
-				results[i*units+u] = scanPiece(data[start-ov:end], start-ov, ov, o, u, segs)
-			})
+	o := opts.withDefaults(sys)
+	g := o.group(o.jobs(n))
+	s := newSchedule(o, overlapOf(sys), n, g)
+	data, err := ReadDeclared(r, n, buf, s.arrived)
+	g.Wait()
+	if err != nil {
+		return data, nil, err
+	}
+	return data, s.merge(0, 0), nil
+}
+
+// ReadDeclared reads a payload of declared length n from r into buf,
+// reusing buf's capacity. n < 0 means undeclared: read to EOF. The
+// payload grows buf only as its bytes arrive: when buf is full its
+// capacity doubles (from 512 bytes when empty), never past n, so a
+// client that declares a large payload and stalls holds no more memory
+// than it has sent (within 2x) beyond buf's own capacity. After each
+// read that adds bytes, arrived (when non-nil) is called with every
+// byte read so far: ScanArriving passes its chunk scheduler there,
+// which is how the served /scan double-buffers (Section 4, Figure 5 of
+// the paper), submitting each chunk while the rest of the body is
+// still on the wire. A declared payload that ends short of n is
+// io.ErrUnexpectedEOF; on any error the bytes that did arrive are
+// returned with it.
+func ReadDeclared(r io.Reader, n int, buf []byte, arrived func([]byte)) ([]byte, error) {
+	buf = buf[:0]
+	for n < 0 || len(buf) < n {
+		if len(buf) == cap(buf) {
+			grow := max(len(buf), 512)
+			if n >= 0 {
+				grow = min(grow, n-len(buf))
+			}
+			buf = slices.Grow(buf, grow)
+		}
+		limit := cap(buf)
+		if n >= 0 {
+			limit = min(limit, n)
+		}
+		m, err := r.Read(buf[len(buf):limit])
+		if m > 0 {
+			buf = buf[:len(buf)+m]
+			if arrived != nil {
+				arrived(buf)
+			}
+		}
+		if len(buf) == n {
+			break
+		}
+		if err == io.EOF {
+			if n < 0 {
+				break
+			}
+			return buf, io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return buf, err
 		}
 	}
-	runTasks(o, tasks)
-	return results
+	return buf, nil
+}
+
+// schedule is the one chunk scheduler, shared by every scan mode. It
+// cuts a payload of n bytes into ChunkBytes-sized chunks and submits
+// each chunk to g as Verifier.Units() work items (one per shard on the
+// sharded rung) as soon as the chunk's bytes, overlap prefix included,
+// are present. Extra memory is O(Workers x ChunkBytes) instead of
+// O(input) on top of the payload, and the bookkeeping grows only with
+// the chunks submitted, so a payload that is declared but never sent
+// costs nothing.
+type schedule struct {
+	o       Options
+	overlap int
+	n       int
+	g       *Group
+	// results[i][u] holds chunk i / unit u's matches in payload
+	// coordinates, already deduplicated against chunk i-1's overlap.
+	results [][][]dfa.Match
+}
+
+func newSchedule(o Options, overlap, n int, g *Group) *schedule {
+	return &schedule{o: o, overlap: overlap, n: n, g: g}
+}
+
+// jobs counts the work items of a payload of n bytes.
+func (o Options) jobs(n int) int {
+	chunks := n / o.ChunkBytes
+	if n%o.ChunkBytes != 0 {
+		chunks++
+	}
+	return chunks * o.Verifier.Units()
+}
+
+// arrived submits every chunk not yet submitted that lies wholly in
+// data, the payload's first len(data) bytes. data may move between
+// calls (a grown buffer); a submitted job keeps scanning the bytes it
+// was handed, which never change.
+func (s *schedule) arrived(data []byte) {
+	units := s.o.Verifier.Units()
+	for {
+		start := len(s.results) * s.o.ChunkBytes
+		end := min(start+s.o.ChunkBytes, s.n)
+		if start >= s.n || end > len(data) {
+			return
+		}
+		ov := min(s.overlap, start)
+		piece := data[start-ov : end]
+		segs := s.o.segmentProvider(piece)
+		res := make([][]dfa.Match, units)
+		s.results = append(s.results, res)
+		for u := range units {
+			s.g.Go(func() { res[u] = scanPiece(piece, start-ov, ov, s.o, u, segs) })
+		}
+	}
+}
+
+// merge flattens the chunk results into one sorted slice, dropping
+// matches whose End is <= dedupe (already reported by a previous
+// reader batch) and shifting the rest by base. Call it after the
+// group's Wait.
+func (s *schedule) merge(base, dedupe int) []dfa.Match {
+	total := 0
+	for _, c := range s.results {
+		for _, u := range c {
+			total += len(u)
+		}
+	}
+	out := make([]dfa.Match, 0, total)
+	for _, c := range s.results {
+		for _, u := range c {
+			for _, m := range u {
+				if m.End <= dedupe {
+					continue
+				}
+				m.End += base
+				out = append(out, m)
+			}
+		}
+	}
+	dfa.SortMatches(out)
+	return out
+}
+
+// group is where a call's jobs run: the shared Pool when one is set;
+// else, in the one-shot mode, a pool of its own closed by Wait, whose
+// workers plus the caller helping in Wait make up to Workers
+// goroutines; else inline on the caller, when there is no parallelism
+// to exploit.
+func (o Options) group(jobs int) *Group {
+	if o.Pool != nil {
+		return o.Pool.Group()
+	}
+	if w := min(o.Workers, jobs); w > 1 {
+		g := NewPool(w - 1).Group()
+		g.own = true
+		return g
+	}
+	return (*Pool)(nil).Group()
 }
 
 // segmentProvider returns a compute-once view of the filter's verify
@@ -194,61 +354,6 @@ func scanPiece(piece []byte, base, ov int, o Options, unit int, segs func() []fi
 	return out
 }
 
-// runTasks executes the chunk jobs: on the shared pool when one is
-// configured, otherwise on up to Workers ad-hoc goroutines (the
-// one-shot mode), inline when there is no parallelism to exploit.
-func runTasks(o Options, tasks []func()) {
-	if o.Pool != nil {
-		o.Pool.Run(tasks)
-		return
-	}
-	workers := min(o.Workers, len(tasks))
-	if workers <= 1 {
-		for _, t := range tasks {
-			t()
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				tasks[i]()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// mergeChunks flattens per-chunk results into one sorted slice,
-// dropping matches whose local End is <= dedupe (already reported by
-// a previous reader batch) and shifting the rest by base.
-func mergeChunks(chunks [][]dfa.Match, base, dedupe int) []dfa.Match {
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	out := make([]dfa.Match, 0, total)
-	for _, c := range chunks {
-		for _, m := range c {
-			if m.End <= dedupe {
-				continue
-			}
-			m.End += base
-			out = append(out, m)
-		}
-	}
-	dfa.SortMatches(out)
-	return out
-}
-
 // ScanMany scans every payload independently — one result slice per
 // payload, each byte-identical to Scan over that payload alone — but
 // flattens all payloads' chunk jobs into a single task set executed in
@@ -260,33 +365,20 @@ func mergeChunks(chunks [][]dfa.Match, base, dedupe int) []dfa.Match {
 func ScanMany(sys *compose.System, payloads [][]byte, opts Options) ([][]dfa.Match, error) {
 	o := opts.withDefaults(sys)
 	overlap := overlapOf(sys)
-	units := o.Verifier.Units()
-	out := make([][]dfa.Match, len(payloads))
-	perPayload := make([][][]dfa.Match, len(payloads))
-	var tasks []func()
-	for pi, data := range payloads {
-		n := len(data)
-		if n == 0 {
-			continue
-		}
-		nchunks := (n + o.ChunkBytes - 1) / o.ChunkBytes
-		perPayload[pi] = make([][]dfa.Match, nchunks*units)
-		for ci := 0; ci < nchunks; ci++ {
-			start := ci * o.ChunkBytes
-			end := min(start+o.ChunkBytes, n)
-			ov := min(overlap, start)
-			segs := o.segmentProvider(data[start-ov : end])
-			for u := 0; u < units; u++ {
-				pi, ci, u, data := pi, ci, u, data
-				tasks = append(tasks, func() {
-					perPayload[pi][ci*units+u] = scanPiece(data[start-ov:end], start-ov, ov, o, u, segs)
-				})
-			}
-		}
+	jobs := 0
+	for _, data := range payloads {
+		jobs += o.jobs(len(data))
 	}
-	runTasks(o, tasks)
-	for pi := range payloads {
-		out[pi] = mergeChunks(perPayload[pi], 0, 0)
+	g := o.group(jobs)
+	scheds := make([]*schedule, len(payloads))
+	for pi, data := range payloads {
+		scheds[pi] = newSchedule(o, overlap, len(data), g)
+		scheds[pi].arrived(data)
+	}
+	g.Wait()
+	out := make([][]dfa.Match, len(payloads))
+	for pi, s := range scheds {
+		out[pi] = s.merge(0, 0)
 	}
 	return out, nil
 }
@@ -318,8 +410,7 @@ func ScanReader(sys *compose.System, r io.Reader, opts Options) ([]dfa.Match, er
 			}
 		}
 		data := buf[:carry+n]
-		chunks := scanChunks(data, overlap, o)
-		out = append(out, mergeChunks(chunks, base, carry)...)
+		out = append(out, scanChunks(data, overlap, o).merge(base, carry)...)
 		keep := min(overlap, len(data))
 		copy(buf, data[len(data)-keep:])
 		base += len(data) - keep

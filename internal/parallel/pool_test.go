@@ -142,27 +142,27 @@ func TestScanManyEquivalence(t *testing.T) {
 	}
 }
 
-// Jobs that themselves call Run on the same pool must complete: Run
-// help-executes queued jobs while waiting, so a fully-busy worker set
-// cannot deadlock on nested submissions.
+// Jobs that themselves open and wait on a Group of the same pool must
+// complete: Wait runs its group's unstarted jobs itself, so a
+// fully-busy worker set cannot deadlock on nested submissions.
 func TestPoolNestedRunNoDeadlock(t *testing.T) {
 	pool := NewPool(2)
 	defer pool.Close()
 	donec := make(chan struct{})
 	go func() {
 		defer close(donec)
-		var outer []func()
 		var leafs atomic.Int64
+		outer := pool.Group()
 		for i := 0; i < 8; i++ {
-			outer = append(outer, func() {
-				inner := make([]func(), 4)
-				for j := range inner {
-					inner[j] = func() { leafs.Add(1) }
+			outer.Go(func() {
+				inner := pool.Group()
+				for j := 0; j < 4; j++ {
+					inner.Go(func() { leafs.Add(1) })
 				}
-				pool.Run(inner)
+				inner.Wait()
 			})
 		}
-		pool.Run(outer)
+		outer.Wait()
 		if got := leafs.Load(); got != 32 {
 			t.Errorf("ran %d leaf jobs, want 32", got)
 		}
@@ -170,7 +170,7 @@ func TestPoolNestedRunNoDeadlock(t *testing.T) {
 	select {
 	case <-donec:
 	case <-time.After(30 * time.Second):
-		t.Fatal("nested Run deadlocked")
+		t.Fatal("nested Group deadlocked")
 	}
 }
 
@@ -217,5 +217,35 @@ func TestPoolWorkers(t *testing.T) {
 	defer p.Close()
 	if got := p.Workers(); got != 3 {
 		t.Fatalf("Workers() = %d", got)
+	}
+}
+
+// A Group stays open until Wait, however often its pending jobs drain
+// to zero in between: a scan whose chunks arrive one at a time submits
+// the next chunk after the previous one has finished. On a nil pool
+// every job runs inline, before Go returns.
+func TestGroupSubmitsAcrossDrains(t *testing.T) {
+	pool := NewPool(2)
+	defer pool.Close()
+	for _, p := range []*Pool{pool, nil} {
+		g := p.Group()
+		var ran atomic.Int64
+		for i := 0; i < 5; i++ {
+			finished := make(chan struct{})
+			g.Go(func() {
+				ran.Add(1)
+				close(finished)
+			})
+			<-finished
+			select {
+			case <-g.done:
+				t.Fatalf("pool %v: group closed after job %d, before Wait", p != nil, i)
+			default:
+			}
+		}
+		g.Wait()
+		if got := ran.Load(); got != 5 {
+			t.Fatalf("pool %v: ran %d jobs, want 5", p != nil, got)
+		}
 	}
 }

@@ -2,13 +2,17 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"cellmatch/internal/core"
@@ -30,27 +34,39 @@ func newBodyServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
-// A body with a declared Content-Length up to bodyPresize is read into
-// one buffer of exactly that size; a longer one grows from bodyPresize.
+// A fresh body buffer is min(n, bodyPresize) for a declared length n
+// (empty for an unknown length); a recycled one is never larger than
+// bodyPresize. Bodies past bodyPresize grow from it as they arrive.
 func TestReadBodyPresized(t *testing.T) {
 	s := newBodyServer(t, Config{MaxBodyBytes: 4 * bodyPresize})
-	body := bytes.Repeat([]byte("a needle "), 1000)
-	req := httptest.NewRequest("POST", "/scan", bytes.NewReader(body))
-	data, ok := s.readBody(httptest.NewRecorder(), req)
-	if !ok || !bytes.Equal(data, body) {
-		t.Fatalf("read %d bytes (ok %v), want %d", len(data), ok, len(body))
+	// Two collections empty bodyBufs, so every buffer below is fresh.
+	runtime.GC()
+	runtime.GC()
+	for _, n := range []int64{-1, 0, 9000, bodyPresize, 3 * bodyPresize} {
+		if got, want := cap(*bodyBuffer(n)), int(min(max(n, 0), bodyPresize)); got != want {
+			t.Fatalf("fresh buffer for a %d-byte body: cap %d, want %d", n, got, want)
+		}
 	}
-	if cap(data) != len(body) {
-		t.Fatalf("buffer cap %d for a %d-byte body", cap(data), len(body))
+	body := bytes.Repeat([]byte("a needle "), 1000)
+	for i := 0; i < 3; i++ {
+		req := httptest.NewRequest("POST", "/scan", bytes.NewReader(body))
+		bp, ok := s.readBody(httptest.NewRecorder(), req)
+		if !ok || !bytes.Equal(*bp, body) {
+			t.Fatalf("read %d bytes (ok %v), want %d", len(*bp), ok, len(body))
+		}
+		if cap(*bp) > bodyPresize {
+			t.Fatalf("buffer cap %d for a %d-byte body", cap(*bp), len(body))
+		}
+		putBody(bp)
 	}
 	big := bytes.Repeat([]byte("needle "), 3*bodyPresize/7+5)
-	req = httptest.NewRequest("POST", "/scan", bytes.NewReader(big))
-	if data, ok := s.readBody(httptest.NewRecorder(), req); !ok || !bytes.Equal(data, big) {
-		t.Fatalf("read %d bytes (ok %v), want %d", len(data), ok, len(big))
+	req := httptest.NewRequest("POST", "/scan", bytes.NewReader(big))
+	if bp, ok := s.readBody(httptest.NewRecorder(), req); !ok || !bytes.Equal(*bp, big) {
+		t.Fatalf("read %d bytes (ok %v), want %d", len(*bp), ok, len(big))
 	}
 	empty := httptest.NewRequest("POST", "/scan", bytes.NewReader(nil))
-	if data, ok := s.readBody(httptest.NewRecorder(), empty); !ok || data == nil || len(data) != 0 {
-		t.Fatalf("empty body: %v %v", data, ok)
+	if bp, ok := s.readBody(httptest.NewRecorder(), empty); !ok || *bp == nil || len(*bp) != 0 {
+		t.Fatalf("empty body: %v %v", *bp, ok)
 	}
 }
 
@@ -75,29 +91,63 @@ func (r *stallReader) Read(p []byte) (int, error) {
 
 // A client that declares a body near the cap and stalls after a few
 // bytes holds a buffer sized by bodyPresize, not by its declared
-// length, while the read waits.
+// length, while the read waits: on the buffered read (mode=seq and
+// /scan/batch) and on the default /scan, which scans as it reads.
 func TestReadBodyStalledDeclaredLength(t *testing.T) {
 	const declared = 64 << 20
 	s := newBodyServer(t, Config{MaxBodyBytes: declared})
-	sr := &stallReader{data: []byte("a needle"), sent: make(chan struct{}), release: make(chan struct{})}
-	req := httptest.NewRequest("POST", "/scan", sr)
-	req.ContentLength = declared
-	runtime.GC()
-	var before, during runtime.MemStats
-	runtime.ReadMemStats(&before)
-	done := make(chan bool)
+	for _, path := range []string{"/scan?mode=seq", "/scan"} {
+		sr := &stallReader{data: []byte("a needle"), sent: make(chan struct{}), release: make(chan struct{})}
+		req := httptest.NewRequest("POST", path, sr)
+		req.ContentLength = declared
+		runtime.GC()
+		var before, during runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := httptest.NewRecorder()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.Handler().ServeHTTP(rec, req)
+		}()
+		<-sr.sent
+		runtime.ReadMemStats(&during)
+		close(sr.release)
+		<-done
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: a body that broke off short of its length answered %d", path, rec.Code)
+		}
+		if grew := during.TotalAlloc - before.TotalAlloc; grew > 4*bodyPresize {
+			t.Fatalf("%s: stalled %d-byte declared body allocated %d bytes after 8 arrived", path, declared, grew)
+		}
+	}
+}
+
+// A /scan client that declares 256 KiB and stalls after 70 KiB has
+// handed its first chunk to the pool, but no pool worker waits on its
+// body: a concurrent /scan on the same two-worker server completes.
+func TestScanStalledBodyLeavesPoolFree(t *testing.T) {
+	s := newBodyServer(t, Config{Workers: 2})
+	head := bytes.Repeat([]byte("a needle "), 70<<10/9)
+	sr := &stallReader{data: head, sent: make(chan struct{}), release: make(chan struct{})}
+	stalled := httptest.NewRequest("POST", "/scan", sr)
+	stalled.ContentLength = 256 << 10
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
 	go func() {
-		_, ok := s.readBody(httptest.NewRecorder(), req)
-		done <- ok
+		defer close(done)
+		s.Handler().ServeHTTP(rec, stalled)
 	}()
 	<-sr.sent
-	runtime.ReadMemStats(&during)
-	close(sr.release)
-	if ok := <-done; ok {
-		t.Fatal("a body that broke off short of its length was accepted")
+	body := bytes.Repeat([]byte("needle "), 40000)
+	other := httptest.NewRecorder()
+	s.Handler().ServeHTTP(other, httptest.NewRequest("POST", "/scan?count=1", bytes.NewReader(body)))
+	if other.Code != http.StatusOK || !strings.Contains(other.Body.String(), `"count":40000`) {
+		t.Fatalf("concurrent /scan beside a stalled body: %d %s", other.Code, other.Body)
 	}
-	if grew := during.TotalAlloc - before.TotalAlloc; grew > 4*bodyPresize {
-		t.Fatalf("stalled %d-byte declared body allocated %d bytes after 8 arrived", declared, grew)
+	close(sr.release)
+	<-done
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("stalled body answered %d, want 400", rec.Code)
 	}
 }
 
@@ -209,4 +259,79 @@ func TestReloadPathKeepsTenantOptions(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Body buffers are recycled only once nothing reads them: concurrent
+// /scan (double-buffered and sequential) and /scan/batch requests with
+// distinct payloads must each get back matches whose Text fields are
+// slices of their own payload. Each payload spells its planted words
+// in its own letter case, so a buffer handed to another request while
+// a reply or the batch collector still reads it shows up as a foreign
+// spelling. Run under -race.
+func TestRecycledBodiesUnderConcurrency(t *testing.T) {
+	ts, _, m := newTestServer(t, []string{"needle", "haystack"}, Config{Workers: 2, ChunkBytes: 4 << 10})
+	const clients, rounds = 8, 20
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			for i := 0; i < rounds; i++ {
+				payload := casedPayload(rng, 16<<10, c*rounds+i)
+				ref, err := m.FindAll(payload)
+				if err != nil {
+					errs <- err
+					return
+				}
+				want := wantMatches(m, payload, ref)
+				path := []string{"/scan", "/scan/batch", "/scan?mode=seq"}[(c+i)%3]
+				resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(payload))
+				if err != nil {
+					errs <- err
+					return
+				}
+				raw, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				var sr ScanResponse
+				if err := json.Unmarshal(raw, &sr); err != nil || resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("client %d %s: %d %v: %.200s", c, path, resp.StatusCode, err, raw)
+					return
+				}
+				if !reflect.DeepEqual(sr.Matches, want) {
+					errs <- fmt.Errorf("client %d round %d %s: %d matches, want %d, or a Text not from this payload",
+						c, i, path, len(sr.Matches), len(want))
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// casedPayload is n bytes of random lowercase noise with "needle" and
+// "haystack" planted every few dozen bytes, spelled in the letter case
+// that the bits of mask pick. The payloads share one size, so every
+// recycled buffer fits the next request, and the dense matches keep
+// each reply reading its buffer for a while.
+func casedPayload(rng *rand.Rand, n, mask int) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = byte('a' + rng.Intn(26))
+	}
+	for off := rng.Intn(30); off+8 <= n; off += 10 + rng.Intn(30) {
+		word := []byte([]string{"needle", "haystack"}[off%2])
+		for j := range word {
+			if mask>>(j%5)&1 == 1 {
+				word[j] -= 'a' - 'A'
+			}
+		}
+		copy(out[off:], word)
+	}
+	return out
 }

@@ -30,6 +30,18 @@
 //	GET  /metrics      Prometheus text exposition of every counter
 //	GET  /healthz      liveness + current generation per tenant
 //
+// The default /scan (mode=pool with a declared Content-Length within
+// MaxBodyBytes) is double-buffered, the host form of the paper's
+// Section 4 / Figure 5 schedule, where one SPU buffer fills by DMA
+// while the other is matched: the handler reads the body while the
+// pool workers scan each chunk of the parallel grid as soon as its
+// bytes have arrived (core.Matcher.ReadFindAll), so the body transfer
+// hides under the scan instead of preceding it. Only the handler
+// goroutine reads the body; a stalled client holds no pool worker.
+// Every buffered endpoint (/scan in each mode, /scan/batch) reads into
+// a recycled buffer (bodyBufs) that goes back only after the reply is
+// written.
+//
 // Every request captures its tenant's current registry entry once and
 // scans it for the request's whole lifetime (RCU): a concurrent
 // /reload never tears a scan, it only changes what later requests see.
@@ -45,8 +57,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"cellmatch/internal/core"
@@ -255,65 +267,82 @@ type ScanResponse struct {
 	Matches []MatchJSON `json:"matches,omitempty"`
 }
 
-// readBody reads a capped request body, answering 413 only for the
-// size cap, 429 when a metered chunked body overflowed the admission
-// byte budget mid-read; other read failures (client aborts, resets,
-// a body shorter than its Content-Length) are 400. A declared length
-// within the cap is read by readDeclared; bodies of unknown length
-// grow their buffer as they arrive.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var data []byte
-	var err error
-	if n := r.ContentLength; n >= 0 && n <= s.cfg.MaxBodyBytes {
-		data, err = readDeclared(body, n)
-	} else {
-		data, err = io.ReadAll(body)
+// readBody reads a capped request body into a buffer from bodyBufs,
+// answering 413 only for the size cap, 429 when a metered chunked body
+// overflowed the admission byte budget mid-read; other read failures
+// (client aborts, resets, a body shorter than its Content-Length) are
+// 400. A declared length within the cap is read exactly; bodies of
+// unknown length read to EOF. Either way the buffer grows only as
+// bytes arrive (parallel.ReadDeclared). The caller hands the buffer
+// back with putBody once the reply that may slice it is written.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*[]byte, bool) {
+	n := r.ContentLength
+	if n > s.cfg.MaxBodyBytes {
+		n = -1 // read to the cap, which answers 413
 	}
+	bp := bodyBuffer(n)
+	var err error
+	*bp, err = parallel.ReadDeclared(s.limitBody(w, r), int(n), *bp, nil)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		switch {
-		case errors.Is(err, errOverBudget):
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "body: "+err.Error(), http.StatusTooManyRequests)
-		case errors.As(err, &mbe):
-			http.Error(w, "body: "+err.Error(), http.StatusRequestEntityTooLarge)
-		default:
-			http.Error(w, "body: "+err.Error(), http.StatusBadRequest)
-		}
+		putBody(bp)
+		bodyError(w, err)
 		return nil, false
 	}
-	return data, true
+	return bp, true
 }
 
-// bodyPresize caps the buffer readDeclared allocates before any body
-// byte has arrived.
+// limitBody caps the request body at MaxBodyBytes.
+func (s *Server) limitBody(w http.ResponseWriter, r *http.Request) io.Reader {
+	return http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+}
+
+// bodyError answers a failed body read: 429 when a metered body
+// overflowed the admission byte budget, 413 over the size cap, 400
+// for every other read failure.
+func bodyError(w http.ResponseWriter, err error) {
+	var mbe *http.MaxBytesError
+	switch {
+	case errors.Is(err, errOverBudget):
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "body: "+err.Error(), http.StatusTooManyRequests)
+	case errors.As(err, &mbe):
+		http.Error(w, "body: "+err.Error(), http.StatusRequestEntityTooLarge)
+	default:
+		http.Error(w, "body: "+err.Error(), http.StatusBadRequest)
+	}
+}
+
+// bodyPresize caps the buffer a body read allocates before any body
+// byte has arrived, and the buffers bodyBufs keeps.
 const bodyPresize = 1 << 20
 
-// readDeclared reads a body of declared length n. The buffer starts at
-// min(n, bodyPresize) — one allocation for typical scan bodies — and
-// doubles, never past n, only as bytes arrive, so a client that
-// declares a large body and stalls holds no more memory than it has
-// sent (within 2x). A body that ends short of n is io.ErrUnexpectedEOF.
-func readDeclared(r io.Reader, n int64) ([]byte, error) {
-	buf := make([]byte, 0, min(n, bodyPresize))
-	for int64(len(buf)) < n {
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, int(min(n-int64(len(buf)), int64(len(buf)))))
-		}
-		m, err := r.Read(buf[len(buf):min(int64(cap(buf)), n)])
-		buf = buf[:len(buf)+m]
-		if int64(len(buf)) == n {
-			break
-		}
-		if err == io.EOF {
-			return nil, io.ErrUnexpectedEOF
-		}
-		if err != nil {
-			return nil, err
-		}
+// bodyBufs recycles the body buffers of every buffered endpoint (/scan
+// in each mode, /scan/batch), so a steady stream of requests reads
+// into warm memory instead of allocating and zeroing a fresh buffer
+// each. It holds *[]byte of at most bodyPresize capacity.
+var bodyBufs sync.Pool
+
+// bodyBuffer returns an empty buffer for a body of declared length n
+// (< 0: unknown): a recycled one when it holds min(n, bodyPresize)
+// bytes, else a fresh one of exactly that capacity.
+func bodyBuffer(n int64) *[]byte {
+	want := int(min(max(n, 0), bodyPresize))
+	if bp, ok := bodyBufs.Get().(*[]byte); ok && cap(*bp) >= want {
+		return bp
 	}
-	return buf, nil
+	b := make([]byte, 0, want)
+	return &b
+}
+
+// putBody recycles a body buffer once nothing reads it any more: the
+// reply that may slice it is written and no scan still runs over it.
+// Buffers grown past bodyPresize are left to the collector.
+func putBody(bp *[]byte) {
+	if cap(*bp) > bodyPresize {
+		return
+	}
+	*bp = (*bp)[:0]
+	bodyBufs.Put(bp)
 }
 
 // current captures the tenant's live dictionary entry, or fails the
@@ -407,20 +436,37 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	data, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	var matches []core.Match
-	if mode == "seq" {
-		matches, err = e.Matcher.FindAllWith(data, opts.ScanOptions)
+	var (
+		bp      *[]byte
+		matches []core.Match
+	)
+	if n := r.ContentLength; mode == "pool" && n >= 0 && n <= s.cfg.MaxBodyBytes {
+		// Double-buffered: the pool scans each chunk of the body as soon
+		// as its bytes are in while this goroutine reads on.
+		bp = bodyBuffer(n)
+		*bp, matches, err = e.Matcher.ReadFindAll(s.limitBody(w, r), int(n), *bp, opts)
+		if int64(len(*bp)) < n {
+			putBody(bp)
+			bodyError(w, err)
+			return
+		}
 	} else {
-		matches, err = e.Matcher.FindAllParallel(data, opts)
+		var ok bool
+		if bp, ok = s.readBody(w, r); !ok {
+			return
+		}
+		if mode == "seq" {
+			matches, err = e.Matcher.FindAllWith(*bp, opts.ScanOptions)
+		} else {
+			matches, err = e.Matcher.FindAllParallel(*bp, opts)
+		}
 	}
+	defer putBody(bp)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	data := *bp
 	tn.counters.scan(len(data), len(matches))
 	s.writeScanResponse(w, r, tn, e, data, len(data), matches, !opts.DisableFilter, opts.DisableStride2)
 }
@@ -491,10 +537,11 @@ func (s *Server) handleScanBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	data, ok := s.readBody(w, r)
+	bp, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
+	data := *bp
 	disableFilter := fmode == core.FilterOff && e.Matcher.FilterActive()
 	disableStride2 := stride == 1 && e.Matcher.Stride() == 2
 	var matches []core.Match
@@ -509,16 +556,20 @@ func (s *Server) handleScanBatch(w http.ResponseWriter, r *http.Request) {
 			ScanOptions: core.ScanOptions{DisableFilter: disableFilter, DisableStride2: disableStride2},
 		})
 		if err != nil {
+			putBody(bp)
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 	} else {
 		matches, err = s.batch.submit(e, data)
 		if err != nil {
+			// Shutting down: the collector may still be scanning data,
+			// so the buffer is not recycled.
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
 	}
+	defer putBody(bp)
 	tn.counters.scan(len(data), len(matches))
 	s.writeScanResponse(w, r, tn, e, data, len(data), matches, fmode != core.FilterOff, stride == 1)
 }
