@@ -302,16 +302,11 @@ func BenchmarkKernelSequential(b *testing.B) {
 	benchKernelFindAll(b, 8<<20, core.EngineOptions{InterleaveK: 1}, "kernel")
 }
 
-func BenchmarkKernelInterleavedK2(b *testing.B) {
-	benchKernelFindAll(b, 8<<20, core.EngineOptions{InterleaveK: 2}, "kernel")
-}
-
+// BenchmarkKernelInterleavedK4 is the 1-byte kernel under its lane
+// rule, stride pinned to 1: the 8 MiB input scans as 4 lanes
+// (paperbench's kernel_interleaved_k4_MBps row).
 func BenchmarkKernelInterleavedK4(b *testing.B) {
-	benchKernelFindAll(b, 8<<20, core.EngineOptions{InterleaveK: 4}, "kernel")
-}
-
-func BenchmarkKernelInterleavedK8(b *testing.B) {
-	benchKernelFindAll(b, 8<<20, core.EngineOptions{InterleaveK: 8}, "kernel")
+	benchKernelFindAll(b, 8<<20, core.EngineOptions{Stride: 1}, "kernel")
 }
 
 // BenchmarkSTTPathFindAll is the pre-kernel production path (alphabet

@@ -251,6 +251,53 @@ func TestBenchCheckAbsoluteSpeedupFloor(t *testing.T) {
 	}
 }
 
+// speedup_filter_vs_kernel divides by the unfiltered kernel, so a
+// faster kernel beside an unchanged filter lowers it: that must pass,
+// while the 2x floor and the filter's own rows still gate.
+func TestBenchCheckFilterRatioFollowsKernel(t *testing.T) {
+	base := writeBench(t, "filter.json", `{
+	  "input_bytes": 16777216,
+	  "filter_off_kernel_MBps": 900,
+	  "filter_seq_MBps": 2900,
+	  "filter_parallel4_MBps": 3700,
+	  "speedup_filter_vs_kernel": 3.2
+	}`)
+	fasterKernel := writeBench(t, "cand.json", `{
+	  "input_bytes": 16777216,
+	  "filter_off_kernel_MBps": 1600,
+	  "filter_seq_MBps": 2900,
+	  "filter_parallel4_MBps": 3700,
+	  "speedup_filter_vs_kernel": 1.8125
+	}`)
+	var b strings.Builder
+	err := runBenchCheck(&b, base, fasterKernel, 0.20)
+	if err == nil || !strings.Contains(err.Error(), "1.81 below the absolute 2.0x floor") || strings.Contains(err.Error(), "3.20 ->") {
+		t.Fatalf("1.81x must fail the 2x floor only, not the relative gate: %v\n%s", err, b.String())
+	}
+	fasterKernel = writeBench(t, "cand2.json", `{
+	  "input_bytes": 16777216,
+	  "filter_off_kernel_MBps": 1400,
+	  "filter_seq_MBps": 2900,
+	  "filter_parallel4_MBps": 3700,
+	  "speedup_filter_vs_kernel": 2.07
+	}`)
+	b.Reset()
+	if err := runBenchCheck(&b, base, fasterKernel, 0.20); err != nil {
+		t.Fatalf("a faster kernel with an unchanged filter failed the gate: %v\n%s", err, b.String())
+	}
+	slowerFilter := writeBench(t, "cand3.json", `{
+	  "input_bytes": 16777216,
+	  "filter_off_kernel_MBps": 900,
+	  "filter_seq_MBps": 2000,
+	  "filter_parallel4_MBps": 3700,
+	  "speedup_filter_vs_kernel": 2.2
+	}`)
+	b.Reset()
+	if err := runBenchCheck(&b, base, slowerFilter, 0.20); err == nil || !strings.Contains(err.Error(), "filter_seq_MBps") {
+		t.Fatalf("a slower filter passed the gate: %v\n%s", err, b.String())
+	}
+}
+
 // A baseline that dropped the speedup metric must not disable its
 // absolute floor: the candidate-only row is still checked.
 func TestBenchCheckFloorSurvivesMissingBaselineKey(t *testing.T) {

@@ -110,11 +110,8 @@ func TestRunKernelBenchJSON(t *testing.T) {
 		"stt_lookup":     res.STTLookupSeq,
 		"stt_findall":    res.STTFindAllSeq,
 		"kernel_seq":     res.KernelSeq,
-		"kernel_k2":      res.KernelK2,
-		"kernel_k4":      res.KernelK4,
-		"kernel_k8":      res.KernelK8,
+		"kernel_lanes":   res.KernelLanes,
 		"stride2_seq":    res.Stride2Seq,
-		"stride2_k4":     res.Stride2K4,
 		"compressed_seq": res.CompressedSeq,
 		"stt_compressed": res.STTCompressedDict,
 		"parallel_4":     res.Parallel4,
@@ -378,6 +375,7 @@ func TestRunServerBenchJSON(t *testing.T) {
 	for _, want := range []string{
 		"== Server engine: cellmatchd end-to-end throughput",
 		"/scan/batch x32 clients",
+		"/scan over 5 rounds, min-max:",
 		"batch coalescing:",
 	} {
 		if !strings.Contains(out, want) {
@@ -559,6 +557,24 @@ func TestRunFilterBenchJSON(t *testing.T) {
 	} {
 		if v <= 0 {
 			t.Fatalf("%s not measured: %+v", name, res)
+		}
+	}
+}
+
+// spread reports the median with the range; an even count averages the
+// middle pair.
+func TestSpread(t *testing.T) {
+	for _, c := range []struct {
+		vals        []float64
+		med, lo, hi float64
+	}{
+		{[]float64{4.9, 13.1, 3.6, 4.0, 5.2}, 4.9, 3.6, 13.1},
+		{[]float64{2, 1}, 1.5, 1, 2},
+		{[]float64{7}, 7, 7, 7},
+	} {
+		med, lo, hi := spread(c.vals)
+		if med != c.med || lo != c.lo || hi != c.hi {
+			t.Errorf("spread(%v) = %v, %v, %v, want %v, %v, %v", c.vals, med, lo, hi, c.med, c.lo, c.hi)
 		}
 	}
 }

@@ -86,10 +86,10 @@ type Options struct {
 // per series slot (row width = the reduced alphabet rounded up to a
 // power of two, 4 bytes per entry) with the byte→class reduction baked
 // into a 256-entry map, scanned either by a single unrolled stream or
-// by a K-way interleaved loop — the host-CPU analog of the paper's SPE
-// local-store tile fed by multiple buffered streams (Figure 6a), where
-// K independent cursors hide the latency of the dependent table loads.
-// On the 1-byte kernel every piece of 2 KiB or more, each pooled
+// by a 4-lane loop — the host-CPU analog of the paper's SPE local-store
+// tile fed by multiple buffered streams (Figure 6a), where 4
+// independent cursors hide the latency of the dependent table loads.
+// On the 1-byte kernel every piece of 1 KiB or more, each pooled
 // parallel chunk included, scans as 4 such lanes (see InterleaveK).
 //
 // Fallback rules: when the aggregate dense-table size (states × row
@@ -103,14 +103,16 @@ type EngineOptions struct {
 	// MaxTableBytes is the dense-table budget. <=0 means the kernel
 	// default (8 MiB).
 	MaxTableBytes int
-	// InterleaveK fixes the kernel's lane count (each lane scans one
-	// piece of the input, split with MaxPatternLen-1 overlap like the
-	// paper's SPE input portions) on every path: FindAll, Count, and
-	// each chunk of FindAllParallel, the pool and ScanReader. 1 pins the
-	// single-stream loop everywhere, 2..8 force K lanes, 0 picks by
-	// piece length: 4 lanes from 1 KiB up, the serial loop below (the
-	// stride-2 pair loops stay serial unless pinned, the compressed
-	// tier's chunk scans always do).
+	// InterleaveK picks the 1-byte kernel's loop on every path:
+	// FindAll, Count, and each chunk of FindAllParallel, the pool and
+	// ScanReader. 1 pins the single-stream loop everywhere; any other
+	// value applies the lane rule: a piece of at least 1 KiB (and 16
+	// overlaps) scans as 4 lanes, each split with MaxPatternLen-1
+	// overlap like the paper's SPE input portions, and shorter pieces
+	// take the serial loop. The stride-2 pair loops and the compressed
+	// tier always scan serially. Artifacts store the value as given, so
+	// one saved with a lane count from 2 to 8 loads and scans under the
+	// rule.
 	InterleaveK int
 	// MaxShards caps how many sub-dictionary kernels the sharded tier
 	// may compile when the single dense table exceeds MaxTableBytes:

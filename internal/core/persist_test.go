@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -206,6 +207,66 @@ func TestLoadV1ArtifactRebuildsEngine(t *testing.T) {
 	// have been) still fails cleanly.
 	if _, err := Load(bytes.NewReader(v1[:len(savMagic)+10])); err == nil {
 		t.Fatal("truncated v1 accepted")
+	}
+}
+
+// An artifact saved with InterleaveK 2, a value that once forced two
+// lanes, still loads and keeps the stored value; it scans
+// byte-identically to a matcher under the lane rule, sequentially and
+// pooled, on both 1-byte and stride-2 engines, and re-saves to the same
+// bytes.
+func TestLoadInterleaveK2Artifact(t *testing.T) {
+	dict := []string{"virus", "rus w", "worm", "us"}
+	data := bytes.Repeat([]byte("a virus in a worm, rus worms "), 200)
+	for _, stride := range []int{1, 2} {
+		eng := EngineOptions{InterleaveK: 2, Stride: stride, Filter: FilterOff}
+		m, err := CompileStrings(dict, Options{Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		saved := buf.Bytes()
+		// Engine block: disableKernel (1 byte), maxTableBytes (8), then
+		// interleaveK (4).
+		if ik := binary.LittleEndian.Uint32(saved[len(savMagic)+13+1+8:]); ik != 2 {
+			t.Fatalf("stride %d: artifact stores interleaveK %d, want 2", stride, ik)
+		}
+		back, err := Load(bytes.NewReader(saved))
+		if err != nil {
+			t.Fatalf("stride %d: InterleaveK 2 artifact rejected: %v", stride, err)
+		}
+		if got := back.opts.Engine.InterleaveK; got != 2 {
+			t.Fatalf("stride %d: loaded InterleaveK %d, want 2", stride, got)
+		}
+		eng.InterleaveK = 0
+		rule, err := CompileStrings(dict, Options{Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := rule.FindAll(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := back.FindAll(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameMatches(t, "loaded FindAll", got, want)
+		par, err := back.FindAllParallel(data, ParallelOptions{Workers: 2, ChunkBytes: 2 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameMatches(t, "loaded FindAllParallel", par, want)
+		var again bytes.Buffer
+		if err := back.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), saved) {
+			t.Fatalf("stride %d: re-saved artifact differs from the loaded one", stride)
+		}
 	}
 }
 

@@ -53,7 +53,6 @@ import (
 	"cellmatch/internal/compose"
 	"cellmatch/internal/dfa"
 	"cellmatch/internal/fanout"
-	"cellmatch/internal/interleave"
 )
 
 // CarryScanner is the incremental-scan contract shared by the dense
@@ -582,108 +581,8 @@ func (t *CTable) scanSerial(piece []byte, base, dedupe int, sink *[]dfa.Match) {
 	}
 }
 
-// scanInterleaved advances every chunk's cursor once per lockstep
-// iteration, the same latency-hiding schedule as the dense kernel's:
-// K independent chain walks in flight per iteration. Each lane starts
-// from the root and its overlap prefix is deduped, so the union of
-// lane matches equals the sequential scan's.
-func (t *CTable) scanInterleaved(data []byte, chunks []interleave.Chunk, sink *[]dfa.Match) {
-	k := len(chunks)
-	if k > MaxInterleave {
-		panic("kernel: more chunks than interleave lanes")
-	}
-	var cur [MaxInterleave]uint32
-	minLen := -1
-	for l := 0; l < k; l++ {
-		cur[l] = t.start
-		if n := chunks[l].Len(); minLen < 0 || n < minLen {
-			minLen = n
-		}
-	}
-	cls := &t.ByteClass
-	if t.hot != nil {
-		hot, limit := t.hot, t.hotLimit
-		for l := 0; l < k; l++ {
-			cur[l] = t.start << 5
-		}
-		for p := 0; p < minLen; p++ {
-			for l := 0; l < k; l++ {
-				c := chunks[l]
-				v := cur[l]
-				if v < limit {
-					v = hot[(v&^1)+uint32(cls[data[c.Start+p]])]
-				} else {
-					v = t.cold5(v, uint32(cls[data[c.Start+p]]))
-				}
-				if v&FlagOut != 0 {
-					t.emit5(v, p+1, c.Start, c.Overlap, sink)
-				}
-				cur[l] = v
-			}
-		}
-		for l := 0; l < k; l++ {
-			c := chunks[l]
-			v := cur[l]
-			for p := minLen; p < c.Len(); p++ {
-				if v < limit {
-					v = hot[(v&^1)+uint32(cls[data[c.Start+p]])]
-				} else {
-					v = t.cold5(v, uint32(cls[data[c.Start+p]]))
-				}
-				if v&FlagOut != 0 {
-					t.emit5(v, p+1, c.Start, c.Overlap, sink)
-				}
-			}
-		}
-		return
-	}
-	if t.wpc == 1 {
-		bm, defs, offs, exp := t.Bitmaps, t.Defaults, t.Offsets, t.Explicit
-		for p := 0; p < minLen; p++ {
-			for l := 0; l < k; l++ {
-				c := chunks[l]
-				cc := uint32(cls[data[c.Start+p]])
-				s := cur[l]
-				for bm[s]>>cc&1 == 0 {
-					s = defs[s]
-				}
-				w := bm[s]
-				e := exp[offs[s]+uint32(bits.OnesCount64(w&(1<<cc-1)))]
-				if e&FlagOut != 0 {
-					t.emit(e, p+1, c.Start, c.Overlap, sink)
-				}
-				cur[l] = e >> 1
-			}
-		}
-	} else {
-		for p := 0; p < minLen; p++ {
-			for l := 0; l < k; l++ {
-				c := chunks[l]
-				e := t.nextWide(cur[l], uint32(cls[data[c.Start+p]]))
-				if e&FlagOut != 0 {
-					t.emit(e, p+1, c.Start, c.Overlap, sink)
-				}
-				cur[l] = e >> 1
-			}
-		}
-	}
-	// Uneven tails (the last chunk is usually shorter).
-	for l := 0; l < k; l++ {
-		c := chunks[l]
-		s := cur[l]
-		for p := minLen; p < c.Len(); p++ {
-			e := t.next(s, uint32(cls[data[c.Start+p]]))
-			if e&FlagOut != 0 {
-				t.emit(e, p+1, c.Start, c.Overlap, sink)
-			}
-			s = e >> 1
-		}
-	}
-}
-
-// countSerial counts hits in piece from the root, ignoring matches
-// that end inside the dedupe-byte overlap prefix.
-func (t *CTable) countSerial(piece []byte, dedupe int) int {
+// countSerial counts hits in piece from the root.
+func (t *CTable) countSerial(piece []byte) int {
 	cls := &t.ByteClass
 	count := 0
 	if t.hot != nil {
@@ -695,7 +594,7 @@ func (t *CTable) countSerial(piece []byte, dedupe int) int {
 			} else {
 				v = t.cold5(v, uint32(cls[piece[i]]))
 			}
-			if v&FlagOut != 0 && i >= dedupe {
+			if v&FlagOut != 0 {
 				count += len(t.Outs[v>>5])
 			}
 		}
@@ -704,7 +603,7 @@ func (t *CTable) countSerial(piece []byte, dedupe int) int {
 	cur := t.start
 	for i := 0; i < len(piece); i++ {
 		e := t.next(cur, uint32(cls[piece[i]]))
-		if e&FlagOut != 0 && i >= dedupe {
+		if e&FlagOut != 0 {
 			count += len(t.Outs[e>>1])
 		}
 		cur = e >> 1
@@ -772,14 +671,12 @@ func (t *CTable) emitCarry(e uint32, end int, emit func(pid int32, end int)) {
 }
 
 // Compressed is the compiled compressed-row matcher: one CTable per
-// series slot plus the scan policy, mirroring Engine's surface.
+// series slot, mirroring Engine's surface.
 type Compressed struct {
 	// Tables holds one compressed table per series slot.
 	Tables []*CTable
-	// MaxPatternLen sizes the interleave overlap window.
+	// MaxPatternLen is the longest pattern, recorded in the image.
 	MaxPatternLen int
-
-	opts Options
 }
 
 // CompileCompressed flattens a composed system into compressed-row
@@ -817,7 +714,7 @@ func CompileCompressed(sys *compose.System, opts Options) (*Compressed, error) {
 			return nil, fmt.Errorf("%w: compressed rows for %d slots need > %d bytes", ErrBudget, len(sys.Slots), o.MaxTableBytes)
 		}
 	}
-	e := &Compressed{MaxPatternLen: sys.MaxPatternLen, opts: o}
+	e := &Compressed{MaxPatternLen: sys.MaxPatternLen}
 	e.Tables = make([]*CTable, len(sys.Slots))
 	inner := 1
 	if w := fanout.Workers(o.Workers); len(sys.Slots) < w {
@@ -846,74 +743,25 @@ func (e *Compressed) TableBytes() int {
 	return total
 }
 
-// InterleaveFor reports the lane count FindAll and Count use on an
-// input of n bytes: serial unless Options.InterleaveK pins lanes. The
-// compressed rows take a data-dependent branch per byte (hot row or
-// cold search), and the generic K-way loop measured slower than the
-// serial loop at every piece size of BenchmarkCompressedLanes, so the
-// dense rung's chooseK rule does not apply here.
-func (e *Compressed) InterleaveFor(int) int { return min(max(e.opts.InterleaveK, 1), MaxInterleave) }
-
-func (e *Compressed) overlap() int {
-	if e.MaxPatternLen > 0 {
-		return e.MaxPatternLen - 1
-	}
-	return 0
-}
-
-// laneChunks returns the interleave split for a k-lane scan, or nil
-// when the single-stream loop should run instead.
-func (e *Compressed) laneChunks(data []byte, k int) []interleave.Chunk {
-	if k <= 1 || len(data) == 0 {
-		return nil
-	}
-	if k > MaxInterleave {
-		k = MaxInterleave
-	}
-	chunks, err := interleave.SplitWithOverlap(len(data), k, e.overlap())
-	if err != nil { // unreachable for k >= 1, n >= 0
-		return nil
-	}
-	return chunks
-}
-
 // FindAll scans raw data and returns every dictionary occurrence with
 // global pattern ids, sorted by (End, Pattern) — byte-for-byte the
-// output of compose.System.Scan and of the dense engine.
+// output of compose.System.Scan and of the dense engine. The compressed
+// rows always scan serially: they take a data-dependent branch per byte
+// (hot row or cold search), and their lane form measured no faster than
+// the serial loop at any piece size (BenchmarkCompressedLanes).
 func (e *Compressed) FindAll(data []byte) []dfa.Match {
-	return e.FindAllK(data, e.InterleaveFor(len(data)))
-}
-
-// FindAllK is FindAll with an explicit lane count (1 = single-stream
-// loop). Any k >= 1 yields identical matches.
-func (e *Compressed) FindAllK(data []byte, k int) []dfa.Match {
-	var out []dfa.Match
-	chunks := e.laneChunks(data, k)
-	for _, t := range e.Tables {
-		if chunks == nil {
-			t.scanSerial(data, 0, 0, &out)
-		} else {
-			t.scanInterleaved(data, chunks, &out)
-		}
-	}
+	out := e.ScanChunk(data, 0, 0)
 	dfa.SortMatches(out)
 	return out
 }
 
 // Count returns the total occurrence count without materializing the
-// match list: same lane layout as FindAll, a counter instead of a
-// sink, no allocation and no sort.
+// match list: the serial loop with a counter instead of a sink, no
+// allocation and no sort.
 func (e *Compressed) Count(data []byte) int {
 	total := 0
-	chunks := e.laneChunks(data, e.InterleaveFor(len(data)))
 	for _, t := range e.Tables {
-		if chunks == nil {
-			total += t.countSerial(data, 0)
-			continue
-		}
-		for _, c := range chunks {
-			total += t.countSerial(data[c.Start:c.Start+c.Len()], c.Overlap)
-		}
+		total += t.countSerial(data)
 	}
 	return total
 }

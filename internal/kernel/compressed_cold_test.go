@@ -33,11 +33,9 @@ func TestCompressedColdPathEquivalence(t *testing.T) {
 	}
 	for _, n := range []int{0, 1, 3, 17, 100, 1023, 4096, 60_000} {
 		data := testInput(n, int64(n)+7)
-		want := eng.FindAllK(data, 1)
-		for k := 1; k <= MaxInterleave; k++ {
-			if got := cold.FindAllK(data, k); !matchesEqual(got, want) {
-				t.Fatalf("n=%d k=%d: cold path %d matches, dense %d", n, k, len(got), len(want))
-			}
+		want := eng.FindAll(data)
+		if got := cold.FindAll(data); !matchesEqual(got, want) {
+			t.Fatalf("n=%d: cold path %d matches, dense %d", n, len(got), len(want))
 		}
 		if got, wantN := cold.Count(data), len(want); got != wantN {
 			t.Fatalf("n=%d cold Count=%d want %d", n, got, wantN)
@@ -130,14 +128,12 @@ func TestCompressedWideClasses(t *testing.T) {
 	}
 	for _, n := range []int{0, 1, 37, 1024, 20_000} {
 		data := wideTestInput(n, int64(n)+3, pats)
-		want := eng.FindAllK(data, 1)
+		want := eng.FindAll(data)
 		if n >= 1024 && len(want) == 0 {
 			t.Fatalf("n=%d probe too weak: no matches", n)
 		}
-		for _, k := range []int{1, 2, MaxInterleave} {
-			if got := comp.FindAllK(data, k); !matchesEqual(got, want) {
-				t.Fatalf("n=%d k=%d: wide compressed %d matches, dense %d", n, k, len(got), len(want))
-			}
+		if got := comp.FindAll(data); !matchesEqual(got, want) {
+			t.Fatalf("n=%d: wide compressed %d matches, dense %d", n, len(got), len(want))
 		}
 		if got, wantN := comp.Count(data), len(want); got != wantN {
 			t.Fatalf("n=%d wide Count=%d want %d", n, got, wantN)
@@ -210,14 +206,12 @@ func TestCompressedHotColdBoundary(t *testing.T) {
 			data = append(data, filler[rng.Intn(len(filler))])
 		}
 	}
-	want := eng.FindAllK(data, 1)
+	want := eng.FindAll(data)
 	if len(want) == 0 {
 		t.Fatal("probe too weak: no matches")
 	}
-	for _, k := range []int{1, 2, MaxInterleave} {
-		if got := comp.FindAllK(data, k); !matchesEqual(got, want) {
-			t.Fatalf("k=%d: hot/cold scan %d matches, dense %d", k, len(got), len(want))
-		}
+	if got := comp.FindAll(data); !matchesEqual(got, want) {
+		t.Fatalf("hot/cold scan %d matches, dense %d", len(got), len(want))
 	}
 	if got, wantN := comp.Count(data), len(want); got != wantN {
 		t.Fatalf("hot/cold Count=%d want %d", got, wantN)
@@ -246,32 +240,29 @@ func TestCompressedHotColdBoundary(t *testing.T) {
 	}
 }
 
-// InterleaveFor mirrors FindAll's lane policy: explicit InterleaveK
-// wins (clamped to MaxInterleave); unpinned, the compressed rung scans
-// serially at every input length.
-func TestCompressedInterleaveFor(t *testing.T) {
-	sys := testSystem(t, []string{"virus", "worm"}, false)
-	auto, err := CompileCompressed(sys, Options{})
+// The compressed rung scans serially under every InterleaveK: a lane
+// setting, including one an older artifact stored, changes neither
+// FindAll nor Count.
+func TestCompressedIgnoresInterleaveK(t *testing.T) {
+	sys := testSystem(t, []string{"virus", "rus w", "worm", "us"}, false)
+	eng, err := Compile(sys, Options{Stride: 1, InterleaveK: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{0, laneMinBytes - 1, laneMinBytes, 1 << 20} {
-		if got := auto.InterleaveFor(n); got != 1 {
-			t.Fatalf("unpinned, %d bytes: k=%d want 1", n, got)
+	for _, k := range []int{-1, 0, 1, 2, 4, 9} {
+		comp, err := CompileCompressed(sys, Options{InterleaveK: k})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	pinned, err := CompileCompressed(sys, Options{InterleaveK: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pinned.InterleaveFor(laneMinBytes * 2); got != 3 {
-		t.Fatalf("pinned k=%d want 3", got)
-	}
-	clamped, err := CompileCompressed(sys, Options{InterleaveK: MaxInterleave + 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := clamped.InterleaveFor(laneMinBytes * 2); got != MaxInterleave {
-		t.Fatalf("clamped k=%d want %d", got, MaxInterleave)
+		for _, n := range []int{0, laneMinBytes - 1, laneMinBytes, 64 << 10} {
+			data := testInput(n, int64(n)+11)
+			want := eng.FindAll(data)
+			if got := comp.FindAll(data); !matchesEqual(got, want) {
+				t.Fatalf("InterleaveK %d, n=%d: compressed %d matches, dense %d", k, n, len(got), len(want))
+			}
+			if got := comp.Count(data); got != len(want) {
+				t.Fatalf("InterleaveK %d, n=%d: Count %d, want %d", k, n, got, len(want))
+			}
+		}
 	}
 }

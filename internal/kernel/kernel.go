@@ -15,9 +15,9 @@
 //     one indexed load, one AND, one ADD, with no multiply and no
 //     per-byte output-set probe;
 //   - two scan loops: a single-stream unrolled loop, and a lane loop
-//     that splits a piece into K overlapping lanes and advances all of
+//     that splits a piece into 4 overlapping lanes and advances all of
 //     them per iteration — the host equivalent of the paper's Figure 6a
-//     multi-buffered streams — so K dependent table loads are in
+//     multi-buffered streams — so 4 dependent table loads are in
 //     flight at once and the L1/L2 hit latency of the resident table
 //     is hidden behind instruction-level parallelism.
 //
@@ -26,9 +26,10 @@
 // rule on the piece length (chooseK): pieces of at least laneMinBytes
 // (1 KiB, and 16 overlaps) scan as 4 lanes (scan4), shorter ones on
 // the serial loop. Options.InterleaveK 1 pins the serial loop
-// everywhere; 2..MaxInterleave pin that many lanes, run by a generic
-// lockstep loop unless the count is 4. The compressed tier and the
-// stride-2 pair loops stay serial unless pinned.
+// everywhere; any other value applies the rule. The 4-lane loop is the
+// only lane loop: the stride-2 pair loops and the compressed rows
+// always scan serially, because no lane form of theirs measured
+// faster than their serial loop.
 //
 // The 4-lane loop is split in two, the host form of the register
 // pressure that the paper's Table 1 measures across its unrolled SPU
@@ -90,10 +91,6 @@ const (
 	L1DataBudget = 32 << 10
 	L2Budget     = 1 << 20
 
-	// MaxInterleave caps the K-way loop: past eight lanes the lockstep
-	// loop's register pressure outweighs the latency hiding.
-	MaxInterleave = 8
-
 	// laneK is the lane count chooseK picks, the width of the
 	// hand-unrolled multi-stream loop (scan4).
 	laneK = 4
@@ -119,12 +116,11 @@ type Options struct {
 	// slots. <=0 means DefaultMaxTableBytes. With the stride-2 rung
 	// live the budget covers the dense AND pair tables together.
 	MaxTableBytes int
-	// InterleaveK forces the lane count of the 1-byte scan loops at
-	// every entry point, ScanChunk (pooled chunks) included: 1 pins the
-	// single-stream loop, 2..MaxInterleave force K lanes, 0 applies the
-	// piece-length rule (4 lanes from 1 KiB, see chooseK). The stride-2
-	// pair loops and the compressed rows run serially unless this pins
-	// a lane count.
+	// InterleaveK picks the 1-byte scan loop at every entry point,
+	// ScanChunk (pooled chunks) included: 1 pins the single-stream
+	// loop, any other value applies the piece-length rule (4 lanes from
+	// 1 KiB, see chooseK). The stride-2 pair loops and the compressed
+	// rows scan serially either way.
 	InterleaveK int
 	// Stride selects the symbols consumed per table transition.
 	// 0 (auto) compiles the stride-2 pair tables when every slot stays
@@ -160,12 +156,6 @@ func ResolveMaxTableBytes(v int) int {
 
 func (o Options) withDefaults() Options {
 	o.MaxTableBytes = ResolveMaxTableBytes(o.MaxTableBytes)
-	if o.InterleaveK > MaxInterleave {
-		o.InterleaveK = MaxInterleave
-	}
-	if o.InterleaveK < 0 {
-		o.InterleaveK = 0
-	}
 	return o
 }
 
@@ -357,7 +347,7 @@ func (t *Table) scanSerial(piece []byte, base, dedupe int, sink *[]dfa.Match) in
 
 // scanFrom continues a scan of piece at offset p from row cur to the
 // end of piece, one byte per step: the tail of the serial loop and of
-// every lane.
+// each lane of scan4.
 func (t *Table) scanFrom(piece []byte, p int, cur uint32, base, dedupe int, sink *[]dfa.Match) int {
 	entries := t.Entries
 	cls := &t.ByteClass
@@ -428,8 +418,13 @@ func (t *Table) emitCarry(e uint32, end int, emit func(pid int32, end int)) {
 	}
 }
 
-// scanLanes scans piece as the lanes chunks splits it into, each from
-// the root — the host form of the paper's Figure 6a multi-buffered
+// laneCut is lane c's (base, dedupe) pair for scan4.
+func laneCut(c interleave.Chunk, base, dedupe int) (int, int) {
+	return base + c.Start, max(c.Overlap, dedupe-c.Start)
+}
+
+// scan4 scans piece as the laneK = 4 lanes chunks splits it into, each
+// from the root — the host form of the paper's Figure 6a multi-buffered
 // streams: the lanes' dependent table loads are independent chains,
 // so they are in flight together instead of stalling one after
 // another. Lane l drops a match ending at lane offset
@@ -437,26 +432,14 @@ func (t *Table) emitCarry(e uint32, end int, emit func(pid int32, end int)) {
 // belongs to lane l-1, and below dedupe the caller discards it anyway.
 // Kept matches and the return value follow scanSerial, so the union
 // over the lanes equals scanSerial(piece, base, dedupe).
-func (t *Table) scanLanes(piece []byte, chunks []interleave.Chunk, base, dedupe int, sink *[]dfa.Match) int {
-	if len(chunks) == laneK {
-		return t.scan4(piece, chunks, base, dedupe, sink)
-	}
-	return t.scanK(piece, chunks, base, dedupe, sink)
-}
-
-// laneCut is lane c's (base, dedupe) pair for scanLanes.
-func laneCut(c interleave.Chunk, base, dedupe int) (int, int) {
-	return base + c.Start, max(c.Overlap, dedupe-c.Start)
-}
-
-// scan4 is scanLanes for laneK = 4 lanes, the lane count chooseK
-// picks. The lanes advance in lockstep over the shortest lane's length
-// inside step4, a call-free leaf that returns at the first byte where
-// any lane's entry carries FlagOut; scan4 emits the flagged lanes'
-// matches out of line and resumes the leaf from the next byte. Then
-// each lane drains its tail serially. With emit's append out of the
-// leaf, the four lane rows stay in registers between matches instead
-// of on the stack (see the package comment).
+//
+// The lanes advance in lockstep over the shortest lane's length inside
+// step4, a call-free leaf that returns at the first byte where any
+// lane's entry carries FlagOut; scan4 emits the flagged lanes' matches
+// out of line and resumes the leaf from the next byte. Then each lane
+// drains its tail serially. With emit's append out of the leaf, the
+// four lane rows stay in registers between matches instead of on the
+// stack (see the package comment).
 func (t *Table) scan4(piece []byte, chunks []interleave.Chunk, base, dedupe int, sink *[]dfa.Match) int {
 	var l lanes4
 	var lb, ld [laneK]int
@@ -519,47 +502,12 @@ func step4(entries []uint32, cls *[256]byte, l *lanes4, p int) int {
 	return p
 }
 
-// scanK is scanLanes for any other pinned lane count
-// (Options.InterleaveK 2..MaxInterleave): the generic lockstep loop.
-func (t *Table) scanK(piece []byte, chunks []interleave.Chunk, base, dedupe int, sink *[]dfa.Match) int {
-	k := len(chunks)
-	if k > MaxInterleave {
-		// Dropping chunks would silently lose matches; callers
-		// (laneChunks) clamp the lane count before splitting.
-		panic("kernel: more chunks than interleave lanes")
-	}
-	var cur [MaxInterleave]uint32
-	var lb, ld [MaxInterleave]int
-	minLen := len(piece)
-	for l, c := range chunks {
-		cur[l] = t.start
-		lb[l], ld[l] = laneCut(c, base, dedupe)
-		minLen = min(minLen, c.Len())
-	}
-	entries := t.Entries
-	cls := &t.ByteClass
-	kept := 0
-	for p := 0; p < minLen; p++ {
-		for l := 0; l < k; l++ {
-			e := entries[cur[l]+uint32(cls[piece[chunks[l].Start+p]])]
-			if e&FlagOut != 0 {
-				kept += t.emit(e, p+1, lb[l], ld[l], sink)
-			}
-			cur[l] = e & rowMask
-		}
-	}
-	for l, c := range chunks {
-		kept += t.scanFrom(piece[c.Start:c.End], minLen, cur[l], lb[l], ld[l], sink)
-	}
-	return kept
-}
-
 // Engine is a compiled matcher: one dense table per series slot plus
 // the scan policy.
 type Engine struct {
 	// Tables holds one compiled table per series slot.
 	Tables []*Table
-	// MaxPatternLen sizes the interleave overlap window.
+	// MaxPatternLen sizes the lane overlap window.
 	MaxPatternLen int
 
 	opts   Options
@@ -704,29 +652,20 @@ func (e *Engine) TableBytes() int {
 	return total
 }
 
-// InterleaveFor reports the lane count the 1-byte loops use on an
-// input or piece of n bytes — FindAll, Count and ScanChunk at stride 1
-// and on the stride-2 rung's 1-byte view (diagnostics and benchmarks).
+// InterleaveFor reports the lane count, 1 or 4, that the 1-byte loops
+// use on an input or piece of n bytes — FindAll, Count and ScanChunk
+// at stride 1 and on the stride-2 rung's 1-byte view (diagnostics and
+// tests).
 func (e *Engine) InterleaveFor(n int) int { return chooseK(e.opts.InterleaveK, n, e.overlap()) }
 
-// pairK is the lane count of the stride-2 pair loops: serial unless
-// pinned. Their generic K-way form measured no faster than the serial
-// pair loop on the log-scan dictionary at any input length from 512 B
-// to 2 MiB, so the lane rule does not apply to them.
-func (e *Engine) pairK() int { return max(e.opts.InterleaveK, 1) }
-
-// chooseK is the one lane-count rule of the dense 1-byte loops, at
-// every entry point — pooled chunks included. A pinned
-// lane count wins at any length (1 = the serial loop). Otherwise a
-// piece scans as laneK lanes once it is at least laneMinBytes long and
-// at least laneK*laneK times the overlap, so the three overlap
-// re-scans add under a fifth to the work; shorter pieces take the
-// serial loop.
-func chooseK(pinned, n, overlap int) int {
-	if pinned >= 1 {
-		return min(pinned, MaxInterleave)
-	}
-	if n < laneMinBytes || n < laneK*laneK*overlap {
+// chooseK is the one lane rule of the dense 1-byte loops, at every
+// entry point — pooled chunks included. InterleaveK 1 pins the serial
+// loop at any length. Otherwise a piece scans as laneK lanes once it is
+// at least laneMinBytes long and at least laneK*laneK times the
+// overlap, so the three overlap re-scans add under a fifth to the work;
+// shorter pieces take the serial loop.
+func chooseK(interleaveK, n, overlap int) int {
+	if interleaveK == 1 || n < laneMinBytes || n < laneK*laneK*overlap {
 		return 1
 	}
 	return laneK
@@ -743,60 +682,31 @@ func (e *Engine) overlap() int {
 // global pattern ids, sorted by (End, Pattern) — byte-for-byte the
 // output of compose.System.Scan.
 func (e *Engine) FindAll(data []byte) []dfa.Match {
-	if e.stride == 2 {
-		return e.FindAllK(data, e.pairK())
-	}
-	return e.FindAllK(data, e.InterleaveFor(len(data)))
-}
-
-// FindAllK is FindAll with an explicit lane count (1 = single-stream
-// loop). Any k >= 1 yields identical matches.
-func (e *Engine) FindAllK(data []byte, k int) []dfa.Match {
-	var out []dfa.Match
-	if e.stride == 2 {
-		chunks := e.laneChunks(data, k)
-		for _, t := range e.Tables {
-			if chunks == nil {
-				t.scanSerial2(data, 0, 0, &out)
-			} else {
-				t.scanInterleaved2(data, chunks, &out)
-			}
-		}
-	} else {
-		e.scan1(data, 0, 0, k, &out)
-	}
+	out := e.ScanChunk(data, 0, 0)
 	dfa.SortMatches(out)
 	return out
 }
 
-// scan1 runs every table's 1-byte loop over piece from the root as k
-// lanes (serially when k is 1 or piece is empty), keeping matches as
+// scan1 runs every table's 1-byte loop over piece from the root —
+// scan4 when k is laneK, the serial loop otherwise — keeping matches as
 // scanSerial does, and returns the kept count. It is the one loop
 // behind FindAll, Count and ScanChunk at stride 1.
 func (e *Engine) scan1(piece []byte, base, dedupe, k int, sink *[]dfa.Match) int {
-	chunks := e.laneChunks(piece, k)
 	kept := 0
-	for _, t := range e.Tables {
-		if chunks == nil {
+	if k != laneK {
+		for _, t := range e.Tables {
 			kept += t.scanSerial(piece, base, dedupe, sink)
-		} else {
-			kept += t.scanLanes(piece, chunks, base, dedupe, sink)
 		}
+		return kept
+	}
+	chunks, err := interleave.SplitWithOverlap(len(piece), laneK, e.overlap())
+	if err != nil { // unreachable: laneK >= 1, n >= 0, overlap >= 0
+		panic(err)
+	}
+	for _, t := range e.Tables {
+		kept += t.scan4(piece, chunks, base, dedupe, sink)
 	}
 	return kept
-}
-
-// laneChunks returns the interleave split for a k-lane scan, or nil
-// when the single-stream loop should run instead.
-func (e *Engine) laneChunks(data []byte, k int) []interleave.Chunk {
-	if k <= 1 || len(data) == 0 {
-		return nil
-	}
-	chunks, err := interleave.SplitWithOverlap(len(data), min(k, MaxInterleave), e.overlap())
-	if err != nil { // unreachable for k >= 1, n >= 0
-		return nil
-	}
-	return chunks
 }
 
 // Count returns the total occurrence count without materializing the
@@ -807,13 +717,8 @@ func (e *Engine) Count(data []byte) int {
 		return e.scan1(data, 0, 0, e.InterleaveFor(len(data)), nil)
 	}
 	total := 0
-	chunks := e.laneChunks(data, e.pairK())
 	for _, t := range e.Tables {
-		if chunks == nil {
-			total += t.countSerial2(data, 0)
-		} else {
-			total += t.countInterleaved2(data, chunks)
-		}
+		total += t.countSerial2(data)
 	}
 	return total
 }

@@ -47,11 +47,25 @@ func matchesEqual(a, b []dfa.Match) bool {
 	return true
 }
 
-// The engine must agree with compose.System.Scan for every lane count,
-// on inputs with boundary-straddling matches.
-func TestFindAllKEquivalence(t *testing.T) {
+// forceLanes is FindAll on the 4-lane loop at any length, even below
+// the lane rule's cut.
+func forceLanes(e *Engine, data []byte) []dfa.Match {
+	var out []dfa.Match
+	e.scan1(data, 0, 0, laneK, &out)
+	dfa.SortMatches(out)
+	return out
+}
+
+// The engine must agree with compose.System.Scan on the serial loop,
+// under the lane rule and on forced lanes, on inputs with
+// boundary-straddling matches.
+func TestFindAllLaneEquivalence(t *testing.T) {
 	sys := testSystem(t, []string{"virus", "rus w", "worm", "us"}, false)
 	eng, err := Compile(sys, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := Compile(sys, Options{InterleaveK: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +75,11 @@ func TestFindAllKEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := 1; k <= MaxInterleave; k++ {
-			got := eng.FindAllK(data, k)
-			if !matchesEqual(got, want) {
-				t.Fatalf("n=%d k=%d: kernel %d matches, scan %d", n, k, len(got), len(want))
-			}
+		if got := serial.FindAll(data); !matchesEqual(got, want) {
+			t.Fatalf("n=%d serial: kernel %d matches, scan %d", n, len(got), len(want))
+		}
+		if got := forceLanes(eng, data); !matchesEqual(got, want) {
+			t.Fatalf("n=%d lanes: kernel %d matches, scan %d", n, len(got), len(want))
 		}
 		if got := eng.FindAll(data); !matchesEqual(got, want) {
 			t.Fatalf("n=%d auto: kernel diverges", n)
@@ -73,10 +87,10 @@ func TestFindAllKEquivalence(t *testing.T) {
 	}
 }
 
-// Count must agree with len(FindAll) for every lane count, through
-// both the serial and the interleaved counting loops.
+// Count must agree with len(FindAll) on the serial loop and under the
+// lane rule, and the counting form of the 4-lane loop with both.
 func TestCountEquivalence(t *testing.T) {
-	for k := 0; k <= MaxInterleave; k++ {
+	for _, k := range []int{0, 1} {
 		sys := testSystem(t, []string{"virus", "rus w", "worm", "us"}, false)
 		eng, err := Compile(sys, Options{InterleaveK: k})
 		if err != nil {
@@ -84,8 +98,11 @@ func TestCountEquivalence(t *testing.T) {
 		}
 		for _, n := range []int{0, 1, 17, 300, 5000} {
 			data := testInput(n, int64(n)+7)
-			if got, want := eng.Count(data), len(eng.FindAllK(data, max(k, 1))); got != want {
+			if got, want := eng.Count(data), len(eng.FindAll(data)); got != want {
 				t.Fatalf("k=%d n=%d: Count %d, FindAll %d", k, n, got, want)
+			}
+			if got, want := eng.scan1(data, 0, 0, laneK, nil), len(forceLanes(eng, data)); got != want {
+				t.Fatalf("k=%d n=%d: lane count %d, lane FindAll %d", k, n, got, want)
 			}
 			want, err := sys.CountMatches(data)
 			if err != nil {
@@ -146,10 +163,17 @@ func TestMultiSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 1; k <= 4; k++ {
-		if got := eng.FindAllK(data, k); !matchesEqual(got, want) {
-			t.Fatalf("k=%d: multi-slot kernel diverges", k)
-		}
+	if got := eng.FindAll(data); !matchesEqual(got, want) {
+		t.Fatal("multi-slot kernel diverges")
+	}
+	if got := forceLanes(eng, data); !matchesEqual(got, want) {
+		t.Fatal("multi-slot kernel diverges on lanes")
+	}
+	var serial []dfa.Match
+	eng.scan1(data, 0, 0, 1, &serial)
+	dfa.SortMatches(serial)
+	if !matchesEqual(serial, want) {
+		t.Fatal("multi-slot kernel diverges on the serial loop")
 	}
 }
 
@@ -279,14 +303,26 @@ func TestInterleaveForHeuristic(t *testing.T) {
 	if k := auto.InterleaveFor(laneMinBytes - 1); k != 1 {
 		t.Fatalf("small input picked k=%d", k)
 	}
-	if k := auto.InterleaveFor(1 << 20); k <= 1 {
-		t.Fatalf("large input stayed serial (k=%d)", k)
+	if k := auto.InterleaveFor(1 << 20); k != laneK {
+		t.Fatalf("large input picked k=%d", k)
 	}
-	forced, err := Compile(sys, Options{InterleaveK: 7})
+	// Any InterleaveK but 1 applies the same rule: a stored 7 from an
+	// older artifact no longer forces seven lanes.
+	other, err := Compile(sys, Options{InterleaveK: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := forced.InterleaveFor(10); k != 7 {
-		t.Fatalf("forced k not honored: %d", k)
+	if k := other.InterleaveFor(10); k != 1 {
+		t.Fatalf("InterleaveK 7, 10 bytes: k=%d, want 1", k)
+	}
+	if k := other.InterleaveFor(1 << 20); k != laneK {
+		t.Fatalf("InterleaveK 7, 1 MiB: k=%d, want %d", k, laneK)
+	}
+	serial, err := Compile(sys, Options{InterleaveK: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := serial.InterleaveFor(1 << 20); k != 1 {
+		t.Fatalf("InterleaveK 1, 1 MiB: k=%d, want 1", k)
 	}
 }

@@ -58,8 +58,9 @@ func BenchmarkLanes(b *testing.B) {
 }
 
 // BenchmarkCompressedLanes is BenchmarkLanes for the compressed rung:
-// FindAll on one-slot compressed tables of the same two dictionaries,
-// at the lane count its own rule picks for each piece size:
+// FindAll on one-slot compressed tables of the same two dictionaries
+// at each piece size. The rung scans serially at every size; this
+// sweep is the baseline a compressed lane loop would have to beat:
 //
 //	go test ./internal/kernel -run '^$' -bench CompressedLanes -count 5
 func BenchmarkCompressedLanes(b *testing.B) {

@@ -41,9 +41,10 @@ func serialRef(e *Engine, piece []byte, base, dedupe int) []dfa.Match {
 	return out
 }
 
-// checkLanes compares the lane forms of ScanChunk, the counting loop,
-// FindAll and Count on one piece against serialRef, for every engine
-// and every dedupe in [0, len(piece)].
+// checkLanes compares ScanChunk, the counting loop, FindAll and Count
+// on one piece against serialRef, for every engine and every dedupe in
+// [0, len(piece)], and the 4-lane loop forced at the piece's length
+// whatever the rule picks.
 func checkLanes(t *testing.T, engines []*Engine, piece []byte) {
 	t.Helper()
 	const base = 1000
@@ -59,8 +60,17 @@ func checkLanes(t *testing.T, engines []*Engine, piece []byte) {
 				t.Fatalf("k=%d n=%d dedupe=%d: ScanChunk %d matches, serial %d", k, n, dedupe, len(got), len(want))
 			}
 			if c := e.scan1(piece, base, dedupe, k, nil); c != len(want) {
-				t.Fatalf("k=%d n=%d dedupe=%d: lane count %d, serial %d", k, n, dedupe, c, len(want))
+				t.Fatalf("k=%d n=%d dedupe=%d: count %d, serial %d", k, n, dedupe, c, len(want))
 			}
+		}
+		var got []dfa.Match
+		kept := ref.scan1(piece, base, dedupe, laneK, &got)
+		dfa.SortMatches(got)
+		if !matchesEqual(got, want) || kept != len(want) {
+			t.Fatalf("n=%d dedupe=%d: forced lanes kept %d (%d matches), serial %d", n, dedupe, kept, len(got), len(want))
+		}
+		if c := ref.scan1(piece, base, dedupe, laneK, nil); c != len(want) {
+			t.Fatalf("n=%d dedupe=%d: forced lane count %d, serial %d", n, dedupe, c, len(want))
 		}
 	}
 	want := serialRef(ref, piece, 0, 0)
@@ -75,13 +85,13 @@ func checkLanes(t *testing.T, engines []*Engine, piece []byte) {
 	}
 }
 
-// The lane loops (the unrolled 4-lane scan4 and the generic scanK)
-// must equal the serial loop at every piece length from 0 to
-// 4*overlap+8 and around the selection cut, for every dedupe window.
+// The 4-lane loop must equal the serial loop at every piece length from
+// 0 to 4*overlap+8 and around the selection cut, for every dedupe
+// window, on the rule's choice and forced.
 func TestLaneEquivalence(t *testing.T) {
 	sys, data := laneFixture(t)
 	var engines []*Engine
-	for _, k := range []int{0, 1, 2, 3, 4, 8} {
+	for _, k := range []int{0, 1} {
 		e, err := Compile(sys, Options{Stride: 1, InterleaveK: k})
 		if err != nil {
 			t.Fatal(err)
@@ -99,7 +109,7 @@ func TestLaneEquivalence(t *testing.T) {
 		off := n * 7 % 97
 		checkLanes(t, engines, data[off:off+n])
 	}
-	auto, four := engines[0], engines[4]
+	auto, serial := engines[0], engines[1]
 	for n := laneMinBytes - 1; n <= laneMinBytes+1; n++ {
 		want := 1
 		if n >= laneMinBytes {
@@ -108,30 +118,35 @@ func TestLaneEquivalence(t *testing.T) {
 		if got := auto.InterleaveFor(n); got != want {
 			t.Fatalf("n=%d: auto picked k=%d, want %d", n, got, want)
 		}
-		checkLanes(t, []*Engine{auto, four}, data[3:3+n])
+		checkLanes(t, []*Engine{auto, serial}, data[3:3+n])
 	}
 }
 
-// chooseK: a pinned lane count wins at any length; the auto rule needs
-// both laneMinBytes and laneK*laneK overlaps of piece.
+// chooseK: InterleaveK 1 pins the serial loop at any length; every
+// other value applies the rule, which needs both laneMinBytes and
+// laneK*laneK overlaps of piece.
 func TestChooseK(t *testing.T) {
-	for _, c := range []struct{ pinned, n, overlap, want int }{
+	for _, c := range []struct{ interleaveK, n, overlap, want int }{
 		{1, 1 << 20, 0, 1},
-		{2, 10, 0, 2},
-		{MaxInterleave + 3, 10, 0, MaxInterleave},
 		{0, laneMinBytes - 1, 0, 1},
 		{0, laneMinBytes, 0, laneK},
 		{0, laneMinBytes, laneMinBytes / (laneK * laneK), laneK},
 		{0, laneMinBytes, laneMinBytes/(laneK*laneK) + 1, 1},
+		{2, 10, 0, 1},
+		{2, laneMinBytes, 0, laneK},
+		{8, laneMinBytes - 1, 0, 1},
+		{8, 1 << 20, 0, laneK},
+		{-1, laneMinBytes, 0, laneK},
 	} {
-		if got := chooseK(c.pinned, c.n, c.overlap); got != c.want {
-			t.Errorf("chooseK(%d, %d, %d) = %d, want %d", c.pinned, c.n, c.overlap, got, c.want)
+		if got := chooseK(c.interleaveK, c.n, c.overlap); got != c.want {
+			t.Errorf("chooseK(%d, %d, %d) = %d, want %d", c.interleaveK, c.n, c.overlap, got, c.want)
 		}
 	}
 }
 
 // InterleaveK 1 pins the serial loop on ScanChunk too: the piece is
-// never split into lanes, whatever its length.
+// never split into lanes, whatever its length, where the rule would
+// split the same piece.
 func TestInterleaveOnePinsScanChunk(t *testing.T) {
 	sys, data := laneFixture(t)
 	e, err := Compile(sys, Options{Stride: 1, InterleaveK: 1})
@@ -141,8 +156,17 @@ func TestInterleaveOnePinsScanChunk(t *testing.T) {
 	if k := e.InterleaveFor(len(data)); k != 1 {
 		t.Fatalf("InterleaveK 1 picked k=%d on %d bytes", k, len(data))
 	}
-	if c := e.laneChunks(data, e.InterleaveFor(len(data))); c != nil {
-		t.Fatalf("InterleaveK 1 split %d bytes into %d lanes", len(data), len(c))
+	auto, err := Compile(sys, Options{Stride: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := auto.InterleaveFor(len(data)); k != laneK {
+		t.Fatalf("fixture: the rule picked k=%d on %d bytes, want %d", k, len(data), laneK)
+	}
+	got, want := e.ScanChunk(data, 0, 0), serialRef(e, data, 0, 0)
+	dfa.SortMatches(got)
+	if !matchesEqual(got, want) {
+		t.Fatalf("ScanChunk %d matches, serial %d", len(got), len(want))
 	}
 }
 
@@ -216,7 +240,10 @@ func TestLaneExitResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := e.laneChunks(make([]byte, n), laneK)
+	chunks, err := interleave.SplitWithOverlap(n, laneK, e.overlap())
+	if err != nil {
+		t.Fatal(err)
+	}
 	lock := n
 	for _, c := range chunks {
 		lock = min(lock, c.Len())
@@ -312,4 +339,43 @@ func TestLaneExitResume(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzLanes drives the 4-lane loop at any piece length, below the lane
+// rule's cut included, where lane edges, overlap prefixes and the
+// dedupe cut crowd together, with any base and dedupe: its matches and
+// its count must equal the serial loop's. The two patterns are cut to
+// 24 bytes, so a lane of a short piece can be shorter than the
+// overlap.
+//
+//	go test ./internal/kernel -run '^$' -fuzz FuzzLanes
+func FuzzLanes(f *testing.F) {
+	f.Add([]byte("abca"), []byte("ca"), []byte("abcabcacabca"), uint16(0), uint16(0))
+	f.Add([]byte("xyx"), []byte("yxy"), []byte("xyxyxyxyxyxyxyxyxyxyxyx"), uint16(7), uint16(9))
+	f.Add([]byte("q"), []byte("zq"), []byte("zqzqqzq"), uint16(1000), uint16(3))
+	f.Add([]byte(strings.Repeat("ab", 12)), []byte("b"), []byte(strings.Repeat("ab", 300)), uint16(5), uint16(401))
+	f.Fuzz(func(t *testing.T, p1, p2, piece []byte, base, dedupe uint16) {
+		if len(p1) == 0 || len(p2) == 0 || len(p1) > 24 || len(p2) > 24 || len(piece) > 8<<10 {
+			return
+		}
+		sys, err := compose.NewSystem([][]byte{p1, p2}, compose.Config{})
+		if err != nil {
+			return // e.g. too many distinct symbols
+		}
+		e, err := Compile(sys, Options{Stride: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, d := int(base), int(dedupe)%(len(piece)+2)
+		want := serialRef(e, piece, b, d)
+		var got []dfa.Match
+		kept := e.scan1(piece, b, d, laneK, &got)
+		dfa.SortMatches(got)
+		if !matchesEqual(got, want) || kept != len(want) {
+			t.Fatalf("n=%d base=%d dedupe=%d: lanes kept %d (%d matches), serial %d", len(piece), b, d, kept, len(got), len(want))
+		}
+		if c := e.scan1(piece, b, d, laneK, nil); c != len(want) {
+			t.Fatalf("n=%d base=%d dedupe=%d: lane count %d, serial %d", len(piece), b, d, c, len(want))
+		}
+	})
 }

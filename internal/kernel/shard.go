@@ -282,8 +282,9 @@ type ShardConfig struct {
 	// concurrently, each internally parallel when shards are fewer than
 	// cores. Output is byte-identical at any worker count.
 	Workers int
-	// InterleaveK is the shards' Options.InterleaveK: the lane count of
-	// their chunk scans (ScanUnit), 0 for the chooseK rule.
+	// InterleaveK is the shards' Options.InterleaveK: 1 pins their
+	// chunk scans (ScanUnit) to the serial loop, any other value
+	// applies the chooseK lane rule.
 	InterleaveK int
 }
 

@@ -2,8 +2,8 @@
 //
 // The dense 1-byte loop issues one dependent table load per input
 // byte, so its throughput is capped by the table's hit latency divided
-// by one — interleaving hides some of it, but every lane still pays a
-// full load per byte. Processing two symbols per transition halves the
+// by one — the 4-lane loop hides some of it, but every lane still pays
+// a full load per byte. Processing two symbols per transition halves the
 // depth of the dependency chain: a pair table maps
 // (state, class1, class2) -> next state in ONE load, so the serial
 // chain costs one L1/L2 hit per TWO bytes (Bille's packed-string
@@ -47,7 +47,6 @@ import (
 
 	"cellmatch/internal/dfa"
 	"cellmatch/internal/fanout"
-	"cellmatch/internal/interleave"
 )
 
 // AutoStride2MaxClasses gates the auto stride policy: beyond 64
@@ -99,14 +98,12 @@ func (t *Table) pairFits() bool {
 // loaded from its serialized image can build pairs identically.
 // Padding cells (either class >= Classes) reset to the start state
 // with no flag, like the 1-byte padding columns; they are unreachable
-// because the byte-class map only yields real classes.
-func (t *Table) buildPair() { t.buildPairW(1) }
-
-// buildPairW is buildPair with the per-state emission split into
-// contiguous state ranges across workers (fanout semantics). Pair rows
-// are disjoint per state and derived from the immutable 1-byte entries,
-// so the emitted table is identical at any worker count.
-func (t *Table) buildPairW(workers int) {
+// because the byte-class map only yields real classes. The per-state
+// emission splits into contiguous state ranges across workers (fanout
+// semantics); pair rows are disjoint per state and derived from the
+// immutable 1-byte entries, so the table is identical at any worker
+// count.
+func (t *Table) buildPair(workers int) {
 	pairShift := 2 * t.shift
 	pw := t.Width * t.Width
 	pair := alignedWords(t.States * pw)
@@ -152,7 +149,7 @@ func (t *Table) withPair(want bool, workers int) *Table {
 	c.Pair = nil
 	c.pairShift = 0
 	if want {
-		c.buildPairW(workers)
+		c.buildPair(workers)
 	}
 	return &c
 }
@@ -254,59 +251,9 @@ func (t *Table) emitPairCarry(prow uint32, b1, b2 byte, i int, emit func(pid int
 	}
 }
 
-// scanInterleaved2 is the K-way lockstep loop at stride 2: each
-// iteration advances every lane by one PAIR, so K pair-table loads
-// are in flight while each lane's chain is half as deep as the 1-byte
-// loop's. Lanes then drain their uneven tails (including the odd final
-// byte) serially. Lane boundaries and overlap dedupe are identical to
-// scanInterleaved, so the match union equals the sequential scan's.
-func (t *Table) scanInterleaved2(data []byte, chunks []interleave.Chunk, sink *[]dfa.Match) {
-	k := len(chunks)
-	if k > MaxInterleave {
-		panic("kernel: more chunks than interleave lanes")
-	}
-	var cur [MaxInterleave]uint32
-	minLen := -1
-	for l := 0; l < k; l++ {
-		cur[l] = t.pairRow(t.start)
-		if n := chunks[l].Len(); minLen < 0 || n < minLen {
-			minLen = n
-		}
-	}
-	pair := t.Pair
-	cls := &t.ByteClass
-	shift := t.shift
-	pairEnd := minLen &^ 1
-	for p := 0; p < pairEnd; p += 2 {
-		for l := 0; l < k; l++ {
-			c := chunks[l]
-			b1, b2 := data[c.Start+p], data[c.Start+p+1]
-			e := pair[cur[l]+(uint32(cls[b1])<<shift|uint32(cls[b2]))]
-			if e&FlagOut != 0 {
-				t.emitPair(cur[l], b1, b2, p, c.Start, c.Overlap, sink)
-			}
-			cur[l] = e & rowMask
-		}
-	}
-	// Uneven tails: per-byte on the 1-byte table — tails are at most a
-	// chunk-length difference plus one parity byte, so the simple loop
-	// costs noise.
-	for l := 0; l < k; l++ {
-		c := chunks[l]
-		row := t.byteRow(cur[l])
-		for p := pairEnd; p < c.Len(); p++ {
-			e := t.Entries[row+uint32(cls[data[c.Start+p]])]
-			if e&FlagOut != 0 {
-				t.emit(e, p+1, c.Start, c.Overlap, sink)
-			}
-			row = e & rowMask
-		}
-	}
-}
-
 // countSerial2 counts hits at stride 2: the flagged epilogue counts
 // output-set sizes instead of materializing matches.
-func (t *Table) countSerial2(piece []byte, dedupe int) int {
+func (t *Table) countSerial2(piece []byte) int {
 	pair := t.Pair
 	cls := &t.ByteClass
 	shift := t.shift
@@ -317,13 +264,13 @@ func (t *Table) countSerial2(piece []byte, dedupe int) int {
 	for ; i+2 <= n; i += 2 {
 		e := pair[cur+(uint32(cls[piece[i]])<<shift|uint32(cls[piece[i+1]]))]
 		if e&FlagOut != 0 {
-			count += t.countPair(cur, piece[i], piece[i+1], i, dedupe)
+			count += t.countPair(cur, piece[i], piece[i+1])
 		}
 		cur = e & rowMask
 	}
 	if i < n {
 		e := t.Entries[t.byteRow(cur)+uint32(cls[piece[i]])]
-		if e&FlagOut != 0 && i >= dedupe {
+		if e&FlagOut != 0 {
 			count += len(t.Outs[e>>t.shift])
 		}
 	}
@@ -331,63 +278,17 @@ func (t *Table) countSerial2(piece []byte, dedupe int) int {
 }
 
 // countPair is the counting epilogue: replay the pair on the 1-byte
-// table and sum the output sets whose end offsets clear the dedupe
-// window.
-func (t *Table) countPair(prow uint32, b1, b2 byte, i, dedupe int) int {
+// table and sum the output sets of the states it passes through.
+func (t *Table) countPair(prow uint32, b1, b2 byte) int {
 	row := t.byteRow(prow)
 	count := 0
 	e1 := t.Entries[row+uint32(t.ByteClass[b1])]
-	if e1&FlagOut != 0 && i >= dedupe {
+	if e1&FlagOut != 0 {
 		count += len(t.Outs[e1>>t.shift])
 	}
 	e2 := t.Entries[(e1&rowMask)+uint32(t.ByteClass[b2])]
-	if e2&FlagOut != 0 && i+1 >= dedupe {
+	if e2&FlagOut != 0 {
 		count += len(t.Outs[e2>>t.shift])
-	}
-	return count
-}
-
-// countInterleaved2 is scanInterleaved2 with counters: lockstep pair
-// steps, then per-byte tails.
-func (t *Table) countInterleaved2(data []byte, chunks []interleave.Chunk) int {
-	k := len(chunks)
-	if k > MaxInterleave {
-		panic("kernel: more chunks than interleave lanes")
-	}
-	var cur [MaxInterleave]uint32
-	minLen := -1
-	for l := 0; l < k; l++ {
-		cur[l] = t.pairRow(t.start)
-		if n := chunks[l].Len(); minLen < 0 || n < minLen {
-			minLen = n
-		}
-	}
-	pair := t.Pair
-	cls := &t.ByteClass
-	shift := t.shift
-	count := 0
-	pairEnd := minLen &^ 1
-	for p := 0; p < pairEnd; p += 2 {
-		for l := 0; l < k; l++ {
-			c := chunks[l]
-			b1, b2 := data[c.Start+p], data[c.Start+p+1]
-			e := pair[cur[l]+(uint32(cls[b1])<<shift|uint32(cls[b2]))]
-			if e&FlagOut != 0 {
-				count += t.countPair(cur[l], b1, b2, p, c.Overlap)
-			}
-			cur[l] = e & rowMask
-		}
-	}
-	for l := 0; l < k; l++ {
-		c := chunks[l]
-		row := t.byteRow(cur[l])
-		for p := pairEnd; p < c.Len(); p++ {
-			e := t.Entries[row+uint32(cls[data[c.Start+p]])]
-			if e&FlagOut != 0 && p >= c.Overlap {
-				count += len(t.Outs[e>>t.shift])
-			}
-			row = e & rowMask
-		}
 	}
 	return count
 }

@@ -55,9 +55,9 @@ import (
 // DefaultChunkBytes is the per-worker slice size when Options leaves
 // it zero: 64 KiB keeps per-chunk state in L1/L2 while amortizing the
 // overlap re-scan (a few dozen bytes) to noise. On the dense kernel
-// each such chunk scans as 4 interleaved lanes of 16 KiB (the
-// kernel's piece-length rule takes every piece of 2 KiB or more;
-// InterleaveK 1 pins the serial loop instead).
+// each such chunk scans as 4 lanes of 16 KiB (the kernel's
+// piece-length rule takes every piece of 1 KiB or more; InterleaveK 1
+// pins the serial loop instead).
 const DefaultChunkBytes = 64 << 10
 
 // Options tune the engine. The zero value means "one chunk per
