@@ -45,7 +45,12 @@ type KernelBench struct {
 	// selects the rung. STTCompressedDict is the stt fallback on the
 	// SAME dictionary — what serving that dictionary would cost without
 	// the rung, and the denominator of SpeedupCompressed.
+	// KernelBigDict is the dense rung at its default lane rule on the
+	// same dictionary, one slot under the default 8 MiB budget with a
+	// table past L2: dense, compressed and stt measured on one
+	// dictionary and one input.
 	CompressedDictStates int     `json:"compressed_dict_states"`
+	KernelBigDict        float64 `json:"kernel_bigdict_k4_MBps"`
 	CompressedSeq        float64 `json:"compressed_MBps"`
 	STTCompressedDict    float64 `json:"stt_compressed_dict_MBps"`
 	// Parallel4 fans 64 KiB chunks of the kernel workload over 4
@@ -173,8 +178,9 @@ func runKernelBench(w io.Writer, d *dfa.DFA, inputBytes int, jsonPath string) er
 	// Compressed section: a dictionary big enough that its dense table
 	// overflows a 2 MiB budget while the compressed rows stay inside
 	// the L2 residency gate — the over-dense-budget regime the rung
-	// exists for. The stt comparator runs the same dictionary with the
-	// kernel tiers disabled.
+	// exists for. The dense row runs the same dictionary under the
+	// default budget, and the stt comparator with the kernel tiers
+	// disabled.
 	bigPats, err := workload.Dictionary(workload.DictConfig{TargetStates: 30000, Seed: 3})
 	if err != nil {
 		return err
@@ -202,6 +208,9 @@ func runKernelBench(w io.Writer, d *dfa.DFA, inputBytes int, jsonPath string) er
 	}
 	if res.CompressedSeq, res.CompressedDictStates, err = bigFindAll(
 		core.EngineOptions{MaxTableBytes: 2 << 20}, "compressed"); err != nil {
+		return err
+	}
+	if res.KernelBigDict, _, err = bigFindAll(core.EngineOptions{Stride: 1}, "kernel"); err != nil {
 		return err
 	}
 	if res.STTCompressedDict, _, err = bigFindAll(
@@ -246,6 +255,7 @@ func runKernelBench(w io.Writer, d *dfa.DFA, inputBytes int, jsonPath string) er
 	t.Row("kernel interleaved K=4 (default lane rule)", res.KernelLanes)
 	t.Row("log-scan kernel single-stream", res.Stride2KernelSeq)
 	t.Row("log-scan stride-2 single-stream", res.Stride2Seq)
+	t.Row("big dictionary: kernel interleaved K=4 (default budget)", res.KernelBigDict)
 	t.Row("compressed rows (over-dense-budget dictionary)", res.CompressedSeq)
 	t.Row("stt fallback on the same dictionary", res.STTCompressedDict)
 	t.Row("kernel + parallel 4 workers (64 KiB chunks as 4 lanes)", res.Parallel4)

@@ -88,6 +88,7 @@ func TestRunKernelBenchJSON(t *testing.T) {
 		"stride-2 single-stream",
 		"best kernel vs stt.Lookup sequential",
 		"stride-2 vs kernel single-stream",
+		"big dictionary: kernel interleaved K=4",
 		"compressed rows (over-dense-budget dictionary)",
 		"compressed vs stt on a",
 	} {
@@ -111,6 +112,7 @@ func TestRunKernelBenchJSON(t *testing.T) {
 		"stt_findall":    res.STTFindAllSeq,
 		"kernel_seq":     res.KernelSeq,
 		"kernel_lanes":   res.KernelLanes,
+		"kernel_bigdict": res.KernelBigDict,
 		"stride2_seq":    res.Stride2Seq,
 		"compressed_seq": res.CompressedSeq,
 		"stt_compressed": res.STTCompressedDict,
@@ -129,6 +131,9 @@ func TestRunKernelBenchJSON(t *testing.T) {
 	}
 	if !gatedMetric("parallel_4workers_kernel_serial_MBps") {
 		t.Fatal("pooled InterleaveK 1 row not gated by -checkbench")
+	}
+	if !gatedMetric("kernel_bigdict_k4_MBps") {
+		t.Fatal("big-dictionary dense row not gated by -checkbench")
 	}
 	if !gatedMetric("compressed_MBps") || !gatedMetric("speedup_compressed_vs_stt") {
 		t.Fatal("compressed rows not gated by -checkbench")

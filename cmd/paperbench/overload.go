@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"cellmatch/internal/core"
 	"cellmatch/internal/registry"
@@ -62,8 +63,13 @@ func runOverloadSmoke(w io.Writer, clients, maxInflight int) error {
 
 	// The burst: every client loops the same payload; 429s are retried
 	// (that is the contract clients are asked to honor), so each client
-	// eventually lands its quota of successful scans.
+	// eventually lands its quota of successful scans. Each body pauses
+	// halfway so an admitted request holds its slot while others arrive:
+	// on a busy host, scans that each end before the next request is
+	// admitted would never oversubscribe the budget.
 	const perClient = 8
+	const bodyPause = 2 * time.Millisecond
+	half := len(data) / 2
 	var ok200, shed429 atomic.Uint64
 	errc := make(chan error, clients)
 	var wg sync.WaitGroup
@@ -72,7 +78,14 @@ func runOverloadSmoke(w io.Writer, clients, maxInflight int) error {
 		go func() {
 			defer wg.Done()
 			for done := 0; done < perClient; {
-				resp, err := http.Post(ts.URL+"/scan?count=1", "application/octet-stream", bytes.NewReader(data))
+				req, err := http.NewRequest(http.MethodPost, ts.URL+"/scan?count=1", io.MultiReader(
+					bytes.NewReader(data[:half]), pause(bodyPause), bytes.NewReader(data[half:])))
+				if err != nil {
+					errc <- err
+					return
+				}
+				req.ContentLength = int64(len(data))
+				resp, err := http.DefaultClient.Do(req)
 				if err != nil {
 					errc <- err
 					return
@@ -149,4 +162,13 @@ func runOverloadSmoke(w io.Writer, clients, maxInflight int) error {
 	}
 	fmt.Fprintln(w, "load-shedding contract held: zero failed responses, budget respected")
 	return nil
+}
+
+// pause is a reader that holds its caller for its duration, then ends:
+// spliced into an io.MultiReader, it stalls a request body mid-stream.
+type pause time.Duration
+
+func (p pause) Read([]byte) (int, error) {
+	time.Sleep(time.Duration(p))
+	return 0, io.EOF
 }

@@ -18,21 +18,28 @@ var ErrStateCap = errors.New("dfa: automaton exceeds state cap")
 // Patterns are reduced through red before insertion; the DFA therefore
 // runs over reduced input (apply red to the stream before scanning, as
 // the paper's PPE-side data reduction does). Pattern IDs are indices
-// into the patterns slice. States are numbered in trie-insertion order.
+// into the patterns slice. States are numbered breadth-first, so the
+// shallow states that take most transitions on traffic fill the first
+// pages of a big table, as the paper keeps the hot STT in local store;
+// every rung built from the DFA inherits the order.
 func FromPatterns(patterns [][]byte, red *alphabet.Reduction) (*DFA, error) {
 	return FromPatternsMax(patterns, red, 0)
 }
 
 // FromPatternsMax is FromPatterns under a state cap: when maxStates is
 // positive and the trie would need more states, construction stops at
-// the first state past the cap and the error wraps ErrStateCap.
+// the first state past the cap and the error wraps ErrStateCap; every
+// other error comes first.
 //
 // The goto trie is built directly in the dense table: row s holds
 // state s's children, 0 meaning "no child" (the root, state 0, is
-// never a child). A BFS then turns each row into its final next-move
-// row in place — children stay, holes copy the failure state's row,
-// which BFS order has already finished — so construction allocates no
-// per-node maps and the table is the trie.
+// never a child). Byte k of every pattern is inserted before byte k+1
+// of any, over a compacted list of the patterns longer than k, so the
+// build is linear in dictionary bytes and numbers states breadth-first.
+// A failure state is shallower and so has a smaller id: one pass over
+// the ids turns each row into its final next-move row in place —
+// children stay, holes copy the failure state's finished row — so
+// construction allocates no per-node maps and the table is the trie.
 func FromPatternsMax(patterns [][]byte, red *alphabet.Reduction, maxStates int) (*DFA, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("dfa: empty dictionary")
@@ -47,9 +54,13 @@ func FromPatternsMax(patterns [][]byte, red *alphabet.Reduction, maxStates int) 
 	// A dictionary of b bytes needs at most b+1 states; reserve that
 	// (within the cap, and within 64Ki rows) so most builds never grow
 	// the table, and trim it to the state count at the end.
-	bound := 1
-	for _, p := range patterns {
+	bound, maxLen := 1, 0
+	for id, p := range patterns {
+		if len(p) == 0 {
+			return nil, fmt.Errorf("dfa: pattern %d is empty", id)
+		}
 		bound += len(p)
+		maxLen = max(maxLen, len(p))
 	}
 	if maxStates > 0 {
 		bound = min(bound, maxStates)
@@ -57,15 +68,18 @@ func FromPatternsMax(patterns [][]byte, red *alphabet.Reduction, maxStates int) 
 	bound = min(bound, 1<<16)
 	next := make([]int32, syms, bound*syms) // zeroed through its capacity
 	term := make([]int32, len(patterns))    // the state each pattern ends at
-	maxLen := 0
-	for id, p := range patterns {
-		if len(p) == 0 {
-			return nil, fmt.Errorf("dfa: pattern %d is empty", id)
-		}
-		maxLen = max(maxLen, len(p))
-		cur := 0
-		for _, raw := range p {
-			e := cur*syms + int(red.Map[raw])
+	// live holds the ids of the patterns longer than depth k, ascending,
+	// and at[i] the depth-k state pattern live[i] has reached.
+	live := make([]int32, len(patterns))
+	at := make([]int32, len(patterns))
+	for id := range live {
+		live[id] = int32(id)
+	}
+	for k := 0; len(live) > 0; k++ {
+		kept := 0
+		for i, id := range live {
+			p := patterns[id]
+			e := int(at[i])*syms + int(red.Map[p[k]])
 			child := next[e]
 			if child == 0 {
 				child = int32(len(next) / syms)
@@ -79,9 +93,14 @@ func FromPatternsMax(patterns [][]byte, red *alphabet.Reduction, maxStates int) 
 					next = append(next, make([]int32, syms)...)
 				}
 			}
-			cur = int(child)
+			if len(p) == k+1 {
+				term[id] = child
+				continue
+			}
+			live[kept], at[kept] = id, child
+			kept++
 		}
-		term[id] = int32(cur)
+		live, at = live[:kept], at[:kept]
 	}
 	n := len(next) / syms
 	if cap(next) != len(next) {
@@ -103,27 +122,16 @@ func FromPatternsMax(patterns [][]byte, red *alphabet.Reduction, maxStates int) 
 		Out:           make([][]int32, n),
 		MaxPatternLen: maxLen,
 	}
+	// Depth-1 states fail to the root (whose holes read 0, itself);
+	// deeper states get theirs from their parent, a smaller id.
 	fail := make([]int32, n)
-	queue := make([]int32, 1, n)
-	for qi := 0; qi < len(queue); qi++ {
-		s := queue[qi]
-		row := next[int(s)*syms : int(s)*syms+syms]
-		if s == 0 {
-			// Depth-1 states fail to the root; the root's holes already
-			// read 0, the root itself.
-			for _, child := range row {
-				if child != 0 {
-					queue = append(queue, child)
-				}
-			}
-			continue
-		}
+	for s := 1; s < n; s++ {
+		row := next[s*syms : s*syms+syms]
 		f := int(fail[s])
 		frow := next[f*syms : f*syms+syms]
 		for c, child := range row {
 			if child != 0 {
 				fail[child] = frow[c]
-				queue = append(queue, child)
 			} else {
 				row[c] = frow[c]
 			}

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"cellmatch/internal/alphabet"
 )
@@ -424,7 +425,7 @@ func mapFromPatterns(patterns [][]byte, red *alphabet.Reduction) (*DFA, error) {
 
 // randomDict builds a dictionary with heavy prefix sharing, substrings
 // of other entries, and duplicates — the shapes that exercise
-// insertion-order numbering, failure chains, and inherited outputs.
+// breadth-first numbering, failure chains, and inherited outputs.
 func randomDict(rng *rand.Rand, n int) [][]byte {
 	roots := []string{"alpha", "alarm", "beta", "be", "gamma", "g", "delta", "ALPHA", "Beta"}
 	out := make([][]byte, 0, n)
@@ -457,10 +458,65 @@ func randomDict(rng *rand.Rand, n int) [][]byte {
 	return out
 }
 
+// depths is each state's trie depth, read off the DFA alone as its
+// BFS distance from the start: reading w never reaches a state deeper
+// than |w|, and a state's own string reaches it in exactly its depth.
+func depths(d *DFA) []int {
+	dep := make([]int, d.NumStates())
+	for i := range dep {
+		dep[i] = -1
+	}
+	dep[d.Start] = 0
+	queue := []int{d.Start}
+	for qi := 0; qi < len(queue); qi++ {
+		s := queue[qi]
+		for _, t := range d.Next[s*d.Syms : s*d.Syms+d.Syms] {
+			if dep[t] < 0 {
+				dep[t] = dep[s] + 1
+				queue = append(queue, int(t))
+			}
+		}
+	}
+	return dep
+}
+
+// byDepth renumbers d by a stable sort of its states on depth: the
+// insertion-order numbering of mapFromPatterns becomes the
+// breadth-first numbering FromPatterns builds directly.
+func byDepth(d *DFA) *DFA {
+	n, syms := d.NumStates(), d.Syms
+	dep := depths(d)
+	order := make([]int, n) // new id -> old id
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return dep[order[a]] < dep[order[b]] })
+	ren := make([]int32, n) // old id -> new id
+	for id, old := range order {
+		ren[old] = int32(id)
+	}
+	out := &DFA{
+		Syms:          syms,
+		Start:         int(ren[d.Start]),
+		Next:          make([]int32, n*syms),
+		Accept:        make([]bool, n),
+		Out:           make([][]int32, n),
+		MaxPatternLen: d.MaxPatternLen,
+	}
+	for id, old := range order {
+		for c := 0; c < syms; c++ {
+			out.Next[id*syms+c] = ren[d.Next[old*syms+c]]
+		}
+		out.Accept[id], out.Out[id] = d.Accept[old], d.Out[old]
+	}
+	return out
+}
+
 // TestFromPatternsMatchesMapOracle pins the dense goto-table build to
-// the map-based construction it replaced: the identical DFA (state
-// numbering, Next, Out, Accept) over random dictionaries under the
-// identity, case-fold, and dictionary-derived reductions.
+// the map-based construction it replaced: the identical DFA (Next,
+// Out, Accept) over random dictionaries under the identity, case-fold,
+// and dictionary-derived reductions, once the oracle's insertion-order
+// states are renumbered by a stable sort on depth.
 func TestFromPatternsMatchesMapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -472,10 +528,11 @@ func TestFromPatternsMatchesMapOracle(t *testing.T) {
 		for name, red := range map[string]*alphabet.Reduction{
 			"identity": alphabet.Identity(), "fold32": alphabet.CaseFold32(), "dictionary": dict,
 		} {
-			want, err := mapFromPatterns(pats, red)
+			oracle, err := mapFromPatterns(pats, red)
 			if err != nil {
 				t.Fatal(err)
 			}
+			want := byDepth(oracle)
 			got, err := FromPatterns(pats, red)
 			if err != nil {
 				t.Fatal(err)
@@ -491,9 +548,72 @@ func TestFromPatternsMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// TestFromPatternsBreadthFirst checks the numbering itself: state ids
+// never decrease in depth, on random dictionaries and on the
+// workload-shaped one whose hot shallow rows the order exists for.
+func TestFromPatternsBreadthFirst(t *testing.T) {
+	dicts := [][][]byte{pats("HE", "SHE", "HIS", "HERS", "SHELL", "H")}
+	for seed := int64(1); seed <= 20; seed++ {
+		dicts = append(dicts, randomDict(rand.New(rand.NewSource(seed)), 400))
+	}
+	for i, dict := range dicts {
+		d, err := FromPatterns(dict, alphabet.CaseFold32())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dep := depths(d)
+		for s := 1; s < len(dep); s++ {
+			if dep[s] < dep[s-1] {
+				t.Fatalf("dictionary %d: state %d at depth %d follows state %d at depth %d",
+					i, s, dep[s], s-1, dep[s-1])
+			}
+		}
+	}
+}
+
+// TestFromPatternsLinearBuild builds one 64 KiB pattern beside 50000
+// two-byte ones. Inserting depth by depth over every pattern would
+// visit all 50001 patterns at each of the 65536 depths (3.3G steps);
+// the compacted list of still-live patterns keeps the build linear in
+// dictionary bytes, so the whole build costs about what its two halves
+// cost apart.
+func TestFromPatternsLinearBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	long := make([]byte, 64<<10)
+	for i := range long {
+		long[i] = byte('a' + rng.Intn(26))
+	}
+	short := make([][]byte, 50000)
+	for i := range short {
+		short[i] = []byte{byte('a' + rng.Intn(26)), byte('0' + rng.Intn(10))}
+	}
+	red := alphabet.CaseFold32()
+	build := func(dict [][]byte) (time.Duration, *DFA) {
+		best := time.Duration(1 << 62)
+		var d *DFA
+		for range 3 {
+			start := time.Now()
+			var err error
+			if d, err = FromPatterns(dict, red); err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, time.Since(start))
+		}
+		return best, d
+	}
+	tLong, _ := build([][]byte{long})
+	tShort, _ := build(short)
+	tBoth, d := build(append([][]byte{long}, short...))
+	if d.MaxPatternLen != len(long) || d.NumStates() < len(long)+1 {
+		t.Fatalf("%d states, longest pattern %d", d.NumStates(), d.MaxPatternLen)
+	}
+	if limit := 20 * (tLong + tShort); tBoth > limit {
+		t.Fatalf("build took %v; its halves took %v and %v apart", tBoth, tLong, tShort)
+	}
+}
+
 // TestFromPatternsMaxStops checks the cap: one state short of the trie
-// is ErrStateCap, and errors the uncapped build reports come first
-// when they precede the overflow.
+// is ErrStateCap, and errors the uncapped build reports come first.
 func TestFromPatternsMaxStops(t *testing.T) {
 	p := pats("HE", "SHE", "HIS", "HERS") // 10 states
 	if _, err := FromPatternsMax(p, nil, 9); !errors.Is(err, ErrStateCap) {
@@ -502,7 +622,7 @@ func TestFromPatternsMaxStops(t *testing.T) {
 	if d, err := FromPatternsMax(p, nil, 10); err != nil || d.NumStates() != 10 {
 		t.Fatalf("cap 10: %v", err)
 	}
-	if _, err := FromPatternsMax(pats("A", ""), nil, 2); errors.Is(err, ErrStateCap) || err == nil {
+	if _, err := FromPatternsMax(pats("ABCDEF", ""), nil, 2); errors.Is(err, ErrStateCap) || err == nil {
 		t.Fatalf("empty pattern under a cap: got %v", err)
 	}
 	for _, dict := range [][][]byte{nil, pats("A", "", "B")} {

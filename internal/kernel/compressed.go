@@ -26,13 +26,14 @@
 // (spend a lookup to shrink the table) applied one level up.
 //
 // The chain walk's data-dependent branch would dominate the scan if
-// every byte paid it, so compilation renumbers states by approximate
-// stationary mass (hot first) and derives small dense rows for the
-// top few — under real traffic the automaton spends ~99% of its time
-// in those states, so the common case is the dense kernel's
-// single-load step and the predictor learns the "is it hot?" branch.
-// The hot rows are derived state, never serialized: images stay pure
-// compressed rows and loaders rebuild the accelerator.
+// every byte paid it, so the table derives small dense rows for its
+// first few states. Aho-Corasick DFAs number states breadth-first
+// (dfa.FromPatterns) and minimized regex DFAs do too, so those are the
+// root and the shallowest states, where traffic spends nearly all of
+// its steps: the common case is the dense kernel's single-load step,
+// and the predictor learns the "is it hot?" branch. The hot rows are
+// derived state, never serialized: images stay pure compressed rows
+// and loaders rebuild the accelerator.
 //
 // Entries are encoded as destState<<1 | FlagOut, and the carried
 // stream state (StartRow/ScanCarry) uses the same encoding, so the
@@ -48,7 +49,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"cellmatch/internal/compose"
 	"cellmatch/internal/dfa"
@@ -108,10 +108,10 @@ type CTable struct {
 	// hot is the derived hot-row accelerator: resolved dense rows for
 	// states 0..hotLimit>>5-1, padded to a fixed stride of 32 entries so
 	// indexing is a shift, each entry encoded dest<<5 | FlagOut. The
-	// compile path renumbers states so the highest-stationary-mass
-	// states come first, which makes "s < m" a branch the predictor
-	// nearly always gets right: the chain walk only runs for the cold
-	// tail. Derived (never serialized) — loaded images rebuild it.
+	// DFA's breadth-first numbering puts the shallow states first,
+	// which makes "s < m" a branch the predictor nearly always gets
+	// right: the chain walk only runs for the cold tail. Derived (never
+	// serialized) — loaded images rebuild it.
 	hot      []uint32
 	hotLimit uint32 // hot-state count << 5; 0 disables the hot path
 }
@@ -119,8 +119,8 @@ type CTable struct {
 // hotRowCap bounds the hot-row accelerator: 128 states × 32 entries ×
 // 4 bytes = 16 KiB per slot, a fraction of the dense row budget the
 // rung exists to avoid, while covering the overwhelming majority of
-// scan steps (the stationary distribution of AC-shaped automata is
-// concentrated in the shallow states the renumbering puts first).
+// scan steps (traffic through an AC-shaped automaton stays mostly in
+// the shallow states the breadth-first numbering puts first).
 const hotRowCap = 128
 
 // ctableBytes is the resident footprint of a compressed table with the
@@ -238,64 +238,11 @@ func planCTable(d *dfa.DFA) *cplan {
 	return p
 }
 
-// hotPerm orders states by approximate stationary mass under uniform
-// random input — a few damped power-iteration rounds over the dense
-// rows — and returns the old->new renumbering that puts the hottest
-// states first. The scan loop tests hotness with a single register
-// compare (s < m) precisely because of this renumbering. Returns nil
-// (identity) when the geometry disqualifies the hot path. Pure
-// float64 arithmetic with a deterministic tie-break, so compiles stay
-// byte-identical across runs and worker counts.
-func hotPerm(d *dfa.DFA) []uint32 {
-	n := d.NumStates()
-	if d.Syms > 32 || n > 1<<25 {
-		return nil
-	}
-	syms := d.Syms
-	p := make([]float64, n)
-	q := make([]float64, n)
-	for i := range p {
-		p[i] = 1 / float64(n)
-	}
-	const damp = 0.85
-	step := damp / float64(syms)
-	mix := (1 - damp) / float64(n)
-	for it := 0; it < 8; it++ {
-		for i := range q {
-			q[i] = mix
-		}
-		for s := 0; s < n; s++ {
-			w := p[s] * step
-			row := d.Next[s*syms : s*syms+syms]
-			for _, t := range row {
-				q[t] += w
-			}
-		}
-		p, q = q, p
-	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if p[order[a]] != p[order[b]] {
-			return p[order[a]] > p[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	perm := make([]uint32, n)
-	for newID, old := range order {
-		perm[old] = uint32(newID)
-	}
-	return perm
-}
-
 // buildHot derives the hot-row accelerator from the finished table:
 // fully resolved rows for the first m states, stride 32, entries
 // encoded dest<<5 | FlagOut. Correctness never depends on which
-// states are hot — any prefix works — so loaded images (renumbered at
-// compile time or not) rebuild it unconditionally when the geometry
-// allows.
+// states are hot — any prefix works — so loaded images rebuild it
+// unconditionally when the geometry allows.
 func (t *CTable) buildHot() {
 	if t.wpc != 1 || t.Classes > 32 || t.States > 1<<25 {
 		return
@@ -319,7 +266,7 @@ func (t *CTable) buildHot() {
 // byteClass is the reduction map; ids maps slot-local pattern ids to
 // global ones; workers splits the row emission into contiguous state
 // ranges (disjoint writes — identical output at any worker count).
-// States are renumbered hot-first (see hotPerm) before emission.
+// States keep the DFA's numbering.
 func buildCTable(d *dfa.DFA, byteClass [256]byte, ids []int, plan *cplan, workers int) (*CTable, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -338,13 +285,6 @@ func buildCTable(d *dfa.DFA, byteClass [256]byte, ids []int, plan *cplan, worker
 	}
 	syms := d.Syms
 	wpc := (syms + 63) / 64
-	perm := hotPerm(d)
-	ren := func(s uint32) uint32 {
-		if perm == nil {
-			return s
-		}
-		return perm[s]
-	}
 	t := &CTable{
 		Classes:   syms,
 		States:    n,
@@ -354,14 +294,10 @@ func buildCTable(d *dfa.DFA, byteClass [256]byte, ids []int, plan *cplan, worker
 		Offsets:   make([]uint32, n+1),
 		Outs:      make([][]int32, n),
 		wpc:       wpc,
-		start:     ren(uint32(d.Start)),
-	}
-	counts := make([]uint32, n)
-	for s := 0; s < n; s++ {
-		counts[ren(uint32(s))] = plan.counts[s]
+		start:     uint32(d.Start),
 	}
 	for s := 0; s < n; s++ {
-		t.Offsets[s+1] = t.Offsets[s] + counts[s]
+		t.Offsets[s+1] = t.Offsets[s] + plan.counts[s]
 	}
 	for s := 0; s < n; s++ {
 		if len(d.Out[s]) > 0 {
@@ -372,12 +308,12 @@ func buildCTable(d *dfa.DFA, byteClass [256]byte, ids []int, plan *cplan, worker
 				}
 				out[i] = int32(ids[pid])
 			}
-			t.Outs[ren(uint32(s))] = out
+			t.Outs[s] = out
 		}
 	}
 	t.Explicit = make([]uint32, plan.explicit)
 	entryFor := func(next int32) uint32 {
-		e := ren(uint32(next)) << 1
+		e := uint32(next) << 1
 		if len(d.Out[next]) > 0 {
 			e |= FlagOut
 		}
@@ -385,11 +321,10 @@ func buildCTable(d *dfa.DFA, byteClass [256]byte, ids []int, plan *cplan, worker
 	}
 	fanout.ForRanges(n, workers, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
-			ns := ren(uint32(s))
-			t.Defaults[ns] = ren(plan.defaults[s])
+			t.Defaults[s] = plan.defaults[s]
 			row := d.Next[s*syms : s*syms+syms]
-			base := int(ns) * wpc
-			off := t.Offsets[ns]
+			base := s * wpc
+			off := t.Offsets[s]
 			if int(plan.defaults[s]) == s {
 				for c := 0; c < syms; c++ {
 					t.Bitmaps[base+c>>6] |= 1 << (c & 63)

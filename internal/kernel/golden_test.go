@@ -5,7 +5,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"cellmatch/internal/dfa"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden fixtures")
@@ -203,4 +206,70 @@ func TestGoldenKernelReload(t *testing.T) {
 			t.Fatalf("match stream diverges at %d: %d vs %d", i, b[i], a[i])
 		}
 	}
+}
+
+// TestGoldenEarlierNumberings loads images compiled before states were
+// numbered breadth-first: dense rows in trie-insertion order, and
+// compressed rows renumbered by stationary mass. They are load-only
+// fixtures that -update never rewrites. An artifact saved by such a
+// build must still load, validate, and report the same (End, Pattern)
+// list as a fresh compile, though its bytes differ from one.
+func TestGoldenEarlierNumberings(t *testing.T) {
+	probe := []byte("a virus, a WORM, and virusvirus rusv; WORMVIRUSV")
+	read := func(t *testing.T, name string) []byte {
+		t.Helper()
+		img, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	same := func(t *testing.T, got, want []dfa.Match) {
+		t.Helper()
+		if len(want) == 0 {
+			t.Fatal("probe found no matches; fixture too weak")
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("loaded image reports %v, fresh compile %v", got, want)
+		}
+	}
+	t.Run("kernel_insertion", func(t *testing.T) {
+		img := read(t, "kernel_insertion.golden")
+		loaded, err := FromBytes(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loaded.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		fresh := goldenTable(t)
+		if bytes.Equal(img, fresh.Bytes()) {
+			t.Fatal("fixture matches a fresh image; it no longer pins an earlier numbering")
+		}
+		scan := func(tab *Table) []dfa.Match {
+			var out []dfa.Match
+			tab.ScanCarry(probe, tab.StartRow(), func(pid int32, end int) {
+				out = append(out, dfa.Match{Pattern: pid, End: end})
+			})
+			return out
+		}
+		same(t, scan(loaded), scan(fresh))
+	})
+	t.Run("compressed_hotfirst", func(t *testing.T) {
+		img := read(t, "compressed_hotfirst.golden")
+		loaded, err := CompressedFromBytes(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ct := range loaded.Tables {
+			if err := ct.Validate(); err != nil {
+				t.Fatalf("table %d: %v", i, err)
+			}
+		}
+		fresh := goldenCompressed(t)
+		if bytes.Equal(img, fresh.Bytes()) {
+			t.Fatal("fixture matches a fresh image; it no longer pins an earlier numbering")
+		}
+		same(t, loaded.FindAll(probe), fresh.FindAll(probe))
+	})
 }

@@ -48,6 +48,15 @@
 // offset — so the output is byte-for-byte identical to the sequential
 // scan (same guarantee, and the same mechanism, as internal/parallel).
 //
+// Rows keep the DFA's state numbering; no rung renumbers. Aho-Corasick
+// DFAs are numbered breadth-first (dfa.FromPatterns) and minimized
+// regex DFAs are too, so the root and the shallow states, which take
+// most transitions on traffic, fill the first rows of every table. A
+// dictionary whose table is past L2 then keeps its hot rows in a few
+// pages instead of spread over all of them: the host form of the paper
+// keeping the hot STT inside the local store. Images saved with any
+// other numbering still load and scan identically.
+//
 // Dictionaries whose dense tables exceed the configured budget (dense
 // rows cost width × 4 bytes per state) are rejected by Compile with
 // ErrBudget; callers step down the selection ladder.

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"cellmatch/internal/alphabet"
@@ -80,5 +81,49 @@ func TestGoldenSTTReload(t *testing.T) {
 	probe := alphabet.CaseFold32().Reduce([]byte("a virus, a WORM, and virusvirus rusv"))
 	if got, want := loaded.CountFinalEntries(probe), fresh.CountFinalEntries(probe); got != want || want == 0 {
 		t.Fatalf("loaded table counts %d, fresh %d", got, want)
+	}
+}
+
+// TestGoldenInsertionOrderImage loads the image encoded before
+// dfa.FromPatterns numbered states breadth-first, when rows followed
+// trie-insertion order. It is a load-only fixture that -update never
+// rewrites: the image must still load, validate, and enter final
+// states at the same input positions as a fresh encoding, though its
+// bytes differ from one.
+func TestGoldenInsertionOrderImage(t *testing.T) {
+	img, err := os.ReadFile(filepath.Join("testdata", "stt_insertion.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := goldenSTT(t)
+	if bytes.Equal(img, fresh.Bytes()) {
+		t.Fatal("fixture matches a fresh image; it no longer pins the insertion order")
+	}
+	loaded, err := FromBytes(img, fresh.Syms, fresh.Width, fresh.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	probe := alphabet.CaseFold32().Reduce([]byte("a virus, a WORM, and virusvirus rusv; WORMVIRUSV"))
+	finalEnds := func(tab *Table) []int {
+		var ends []int
+		cur := tab.StartPtr() & PtrMask
+		for i, c := range probe {
+			e := tab.Lookup(cur, c)
+			if IsFinal(e) {
+				ends = append(ends, i+1)
+			}
+			cur = e & PtrMask
+		}
+		return ends
+	}
+	got, want := finalEnds(loaded), finalEnds(fresh)
+	if len(want) == 0 {
+		t.Fatal("probe found no matches; fixture too weak")
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("loaded image ends %v, fresh encoding %v", got, want)
 	}
 }
