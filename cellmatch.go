@@ -8,7 +8,7 @@
 // content-independent cost. By default scanning runs on the dense
 // compiled kernel (see EngineOptions): cache-resident flattened
 // tables with the alphabet reduction baked in, scanned single-stream
-// or by a 4-lane loop, the host-CPU analog of the paper's
+// or by a 5-lane loop, the host-CPU analog of the paper's
 // multi-buffered SPE streams. Alongside the production matcher it
 // ships the paper's full performance apparatus: an instruction-level
 // SPU simulator, a Cell memory-system model, and the schedules that
@@ -86,9 +86,9 @@ type ParallelOptions = core.ParallelOptions
 // load, one AND, and one ADD per byte, with match metadata packed
 // into entry flag bits exactly like the paper's pointer-encoded STT
 // tile. Inputs and pooled chunks of 1 KiB or more are scanned by a
-// 4-lane loop: the piece is split into 4 lanes with MaxPatternLen-1
+// 5-lane loop: the piece is split into 5 lanes with MaxPatternLen-1
 // overlap (the paper's Figure 6a input portions mapped onto in-loop
-// streams instead of SPEs) and 4 independent cursors advance per
+// streams instead of SPEs) and 5 independent cursors advance per
 // iteration, hiding the dependent-load latency of the cache-resident
 // table. EngineOptions.InterleaveK 1 pins the single-stream loop; any
 // other value keeps this rule.

@@ -22,7 +22,7 @@ const baseBench = `{
   "dict_states": 1499,
   "stt_lookup_seq_MBps": 300,
   "kernel_seq_MBps": 600,
-  "kernel_interleaved_k4_MBps": 1000,
+  "kernel_interleaved_lanes_MBps": 1000,
   "parallel_4workers_kernel_MBps": 550,
   "speedup_kernel_vs_stt_lookup": 3.3
 }`
@@ -35,7 +35,7 @@ func TestBenchCheckPasses(t *testing.T) {
 	  "dict_states": 1499,
 	  "stt_lookup_seq_MBps": 100,
 	  "kernel_seq_MBps": 510,
-	  "kernel_interleaved_k4_MBps": 850,
+	  "kernel_interleaved_lanes_MBps": 850,
 	  "parallel_4workers_kernel_MBps": 468,
 	  "speedup_kernel_vs_stt_lookup": 2.81
 	}`)
@@ -66,7 +66,7 @@ func TestBenchCheckCatchesKernelRegression(t *testing.T) {
 	  "dict_states": 1499,
 	  "stt_lookup_seq_MBps": 300,
 	  "kernel_seq_MBps": 400,
-	  "kernel_interleaved_k4_MBps": 1000,
+	  "kernel_interleaved_lanes_MBps": 1000,
 	  "parallel_4workers_kernel_MBps": 550,
 	  "speedup_kernel_vs_stt_lookup": 3.3
 	}`)
@@ -93,7 +93,7 @@ func TestBenchCheckCatchesSpeedupRegression(t *testing.T) {
 	  "dict_states": 1499,
 	  "stt_lookup_seq_MBps": 500,
 	  "kernel_seq_MBps": 600,
-	  "kernel_interleaved_k4_MBps": 1000,
+	  "kernel_interleaved_lanes_MBps": 1000,
 	  "parallel_4workers_kernel_MBps": 550,
 	  "speedup_kernel_vs_stt_lookup": 2.0
 	}`)
@@ -117,7 +117,7 @@ func TestBenchCheckMissingMetricFails(t *testing.T) {
 	  "input_bytes": 8388608,
 	  "dict_states": 1499,
 	  "kernel_seq_MBps": 600,
-	  "kernel_interleaved_k4_MBps": 1000,
+	  "kernel_interleaved_lanes_MBps": 1000,
 	  "parallel_4workers_kernel_MBps": 550,
 	  "speedup_kernel_vs_stt_lookup": 3.3
 	}`)

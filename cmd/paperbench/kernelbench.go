@@ -26,9 +26,9 @@ type KernelBench struct {
 	STTFindAllSeq float64 `json:"stt_findall_seq_MBps"`
 	KernelSeq     float64 `json:"kernel_seq_MBps"`
 	// KernelLanes is the 1-byte kernel at its default lane rule
-	// (InterleaveK 0): the input scans as 4 lanes, through the
+	// (InterleaveK 0): the input scans as 5 lanes, through the
 	// call-free leaf, so a lane loop that spills again shows here.
-	KernelLanes float64 `json:"kernel_interleaved_k4_MBps"`
+	KernelLanes float64 `json:"kernel_interleaved_lanes_MBps"`
 	// The stride-2 rows measure the rung on its home workload: the
 	// log-scan scenario (small alert dictionary over structured log
 	// lines), whose pair tables pass the L2-residency auto gate. The
@@ -50,11 +50,11 @@ type KernelBench struct {
 	// table past L2: dense, compressed and stt measured on one
 	// dictionary and one input.
 	CompressedDictStates int     `json:"compressed_dict_states"`
-	KernelBigDict        float64 `json:"kernel_bigdict_k4_MBps"`
+	KernelBigDict        float64 `json:"kernel_bigdict_lanes_MBps"`
 	CompressedSeq        float64 `json:"compressed_MBps"`
 	STTCompressedDict    float64 `json:"stt_compressed_dict_MBps"`
 	// Parallel4 fans 64 KiB chunks of the kernel workload over 4
-	// workers; each chunk scans as 4 lanes under the kernel's lane
+	// workers; each chunk scans as 5 lanes under the kernel's lane
 	// rule. Parallel4Serial is the same fan-out on the same dictionary
 	// with InterleaveK 1, each chunk on the single-stream loop: the
 	// pair isolates what the lanes add to the pooled chunk path.
@@ -252,13 +252,13 @@ func runKernelBench(w io.Writer, d *dfa.DFA, inputBytes int, jsonPath string) er
 	t.Row("stt.Lookup sequential (reduce + pointer walk)", res.STTLookupSeq)
 	t.Row("stt path FindAll (pre-kernel production)", res.STTFindAllSeq)
 	t.Row("kernel single-stream", res.KernelSeq)
-	t.Row("kernel interleaved K=4 (default lane rule)", res.KernelLanes)
+	t.Row("kernel lanes (default lane rule)", res.KernelLanes)
 	t.Row("log-scan kernel single-stream", res.Stride2KernelSeq)
 	t.Row("log-scan stride-2 single-stream", res.Stride2Seq)
-	t.Row("big dictionary: kernel interleaved K=4 (default budget)", res.KernelBigDict)
+	t.Row("big dictionary: kernel lanes (default budget)", res.KernelBigDict)
 	t.Row("compressed rows (over-dense-budget dictionary)", res.CompressedSeq)
 	t.Row("stt fallback on the same dictionary", res.STTCompressedDict)
-	t.Row("kernel + parallel 4 workers (64 KiB chunks as 4 lanes)", res.Parallel4)
+	t.Row("kernel + parallel 4 workers (64 KiB chunks as lanes)", res.Parallel4)
 	t.Row("kernel + parallel 4 workers (64 KiB chunks, InterleaveK 1)", res.Parallel4Serial)
 	if err := t.Write(w); err != nil {
 		return err

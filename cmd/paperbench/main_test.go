@@ -84,11 +84,11 @@ func TestRunKernelBenchJSON(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"== Kernel engine: old vs new scan throughput",
-		"kernel interleaved K=4",
+		"kernel lanes (default lane rule)",
 		"stride-2 single-stream",
 		"best kernel vs stt.Lookup sequential",
 		"stride-2 vs kernel single-stream",
-		"big dictionary: kernel interleaved K=4",
+		"big dictionary: kernel lanes",
 		"compressed rows (over-dense-budget dictionary)",
 		"compressed vs stt on a",
 	} {
@@ -132,7 +132,7 @@ func TestRunKernelBenchJSON(t *testing.T) {
 	if !gatedMetric("parallel_4workers_kernel_serial_MBps") {
 		t.Fatal("pooled InterleaveK 1 row not gated by -checkbench")
 	}
-	if !gatedMetric("kernel_bigdict_k4_MBps") {
+	if !gatedMetric("kernel_bigdict_lanes_MBps") {
 		t.Fatal("big-dictionary dense row not gated by -checkbench")
 	}
 	if !gatedMetric("compressed_MBps") || !gatedMetric("speedup_compressed_vs_stt") {

@@ -76,7 +76,7 @@ func FuzzMatcherScan(f *testing.F) {
 // worker counts, chunk sizes — including chunks smaller than the
 // longest pattern — and read-split schedules, via FindAllParallel,
 // ReadFindAll (chunks scanned as the body arrives) and ScanReader.
-// Inputs up to 16 KiB and chunks up to 8 KiB reach the 4-lane chunk
+// Inputs up to 16 KiB and chunks up to 8 KiB reach the 5-lane chunk
 // loop, which the 1-byte kernel runs on pieces of 1 KiB and more; the
 // stride-1 opt-out takes it there on stride-2 matchers too.
 func FuzzParallelEquivalence(f *testing.F) {

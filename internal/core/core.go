@@ -86,11 +86,11 @@ type Options struct {
 // per series slot (row width = the reduced alphabet rounded up to a
 // power of two, 4 bytes per entry) with the byte→class reduction baked
 // into a 256-entry map, scanned either by a single unrolled stream or
-// by a 4-lane loop — the host-CPU analog of the paper's SPE local-store
-// tile fed by multiple buffered streams (Figure 6a), where 4
+// by a 5-lane loop — the host-CPU analog of the paper's SPE local-store
+// tile fed by multiple buffered streams (Figure 6a), where 5
 // independent cursors hide the latency of the dependent table loads.
 // On the 1-byte kernel every piece of 1 KiB or more, each pooled
-// parallel chunk included, scans as 4 such lanes (see InterleaveK).
+// parallel chunk included, scans as 5 such lanes (see InterleaveK).
 //
 // Fallback rules: when the aggregate dense-table size (states × row
 // width × 4 bytes, summed over series slots) exceeds MaxTableBytes, or
@@ -106,8 +106,8 @@ type EngineOptions struct {
 	// InterleaveK picks the 1-byte kernel's loop on every path:
 	// FindAll, Count, and each chunk of FindAllParallel, the pool and
 	// ScanReader. 1 pins the single-stream loop everywhere; any other
-	// value applies the lane rule: a piece of at least 1 KiB (and 16
-	// overlaps) scans as 4 lanes, each split with MaxPatternLen-1
+	// value applies the lane rule: a piece of at least 1 KiB (and 25
+	// overlaps) scans as 5 lanes, each split with MaxPatternLen-1
 	// overlap like the paper's SPE input portions, and shorter pieces
 	// take the serial loop. The stride-2 pair loops and the compressed
 	// tier always scan serially. Artifacts store the value as given, so

@@ -103,7 +103,10 @@ func FromPatternsMax(patterns [][]byte, red *alphabet.Reduction, maxStates int) 
 		live, at = live[:kept], at[:kept]
 	}
 	n := len(next) / syms
-	if cap(next) != len(next) {
+	// The reservation overshoots by the bytes patterns share as
+	// prefixes, usually a few percent: drop that slack only when it is
+	// worth a copy of the whole table.
+	if cap(next)-len(next) > len(next)/8 {
 		next = append(make([]int32, 0, len(next)), next...)
 	}
 	// The ids ending at each state, ascending, as linked lists through

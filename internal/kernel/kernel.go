@@ -15,31 +15,31 @@
 //     one indexed load, one AND, one ADD, with no multiply and no
 //     per-byte output-set probe;
 //   - two scan loops: a single-stream unrolled loop, and a lane loop
-//     that splits a piece into 4 overlapping lanes and advances all of
+//     that splits a piece into 5 overlapping lanes and advances all of
 //     them per iteration — the host equivalent of the paper's Figure 6a
-//     multi-buffered streams — so 4 dependent table loads are in
+//     multi-buffered streams — so 5 dependent table loads are in
 //     flight at once and the L1/L2 hit latency of the resident table
 //     is hidden behind instruction-level parallelism.
 //
 // Every 1-byte entry point — FindAll, Count, and ScanChunk, which
 // scans each pooled chunk of internal/parallel — picks its loop by one
 // rule on the piece length (chooseK): pieces of at least laneMinBytes
-// (1 KiB, and 16 overlaps) scan as 4 lanes (scan4), shorter ones on
-// the serial loop. Options.InterleaveK 1 pins the serial loop
-// everywhere; any other value applies the rule. The 4-lane loop is the
+// (1 KiB, and 25 overlaps) scan as 5 lanes (scanLanes), shorter ones
+// on the serial loop. Options.InterleaveK 1 pins the serial loop
+// everywhere; any other value applies the rule. The 5-lane loop is the
 // only lane loop: the stride-2 pair loops and the compressed rows
 // always scan serially, because no lane form of theirs measured
 // faster than their serial loop.
 //
-// The 4-lane loop is split in two, the host form of the register
+// The lane loop is split in two, the host form of the register
 // pressure that the paper's Table 1 measures across its unrolled SPU
-// kernels. A leaf (step4) advances the four lanes with no call in its
-// body and returns at the first byte where any lane's entry carries
-// FlagOut; scan4 emits that byte's matches and resumes the leaf. Go's
-// register ABI has no callee-saved registers, so a loop that contains
-// a call keeps the four lane rows on the stack across it, and every
-// lane's dependent load chain pays a store-to-load forward per byte,
-// as the paper's spilling unroll does. Matches are sparse on the
+// kernels. A leaf (stepLanes) advances the five lanes with no call in
+// its body and returns at the first byte where any lane's entry
+// carries FlagOut; scanLanes emits that byte's matches and resumes the
+// leaf. Go's register ABI has no callee-saved registers, so a loop
+// that contains a call keeps the lane rows on the stack across it, and
+// every lane's dependent load chain pays a store-to-load forward per
+// byte, as the paper's spilling unroll does. Matches are sparse on the
 // served workloads, so the leaf runs long stretches between exits.
 //
 // Lane boundaries reuse interleave.SplitWithOverlap: each lane re-scans
@@ -101,16 +101,26 @@ const (
 	L2Budget     = 1 << 20
 
 	// laneK is the lane count chooseK picks, the width of the
-	// hand-unrolled multi-stream loop (scan4).
-	laneK = 4
+	// written-out lane leaf (stepLanes). Picked from a sweep of the
+	// leaf at K = 4..8 (BenchmarkLanes, the 1499-, 7985- and
+	// 29996-state dictionaries, 2-vCPU Xeon, go1.24, median of 5,
+	// MB/s). At 64 KiB pieces: K=4 2467/2229/1718, K=5 2673/2564/2013,
+	// K=6 2466/2442/2169, K=7 2366/2326/2157, K=8 2214/2194/2096. At
+	// 1 KiB: K=4 1890/1720/1372, K=5 1893/1798/1461, K=6
+	// 1708/1672/1471. K=5 is at least K=4 on every dictionary from
+	// 1 KiB up; K=6 gains on the 29996-state table past L2 but loses
+	// to K=4 on the 1499-state one up to 8 KiB (1708 vs 1890 at
+	// 1 KiB), and K=7 and K=8 lose there at every size.
+	laneK = 5
 
 	// laneMinBytes is the piece length from which chooseK scans as laneK
 	// lanes, picked from a piece-size sweep of the call-free lane loop
-	// (BenchmarkLanes: 256 B to 8 KiB and 256 KiB, the 1499- and
-	// 29996-state dictionaries, 2-vCPU Xeon, median of 5). scan4 against
-	// the serial loop: 1.1x/1.7x at 256 B, 1.9x/2.6x at 512 B, 2.4x/3.0x
-	// at 1 KiB, 2.7x/3.0x at 2 KiB, 2.4-3.6x from 4 KiB. The cut sits
-	// one doubling above 512 B, where both dictionaries already win
+	// (BenchmarkLanes, same dictionaries and host as above). 5 lanes
+	// against the serial loop: 1.8x/1.8x/1.9x at 256 B, 2.6x/2.6x/2.7x at
+	// 512 B, 3.3x/3.4x/3.4x at 1 KiB, 3.9-4.8x from 2 KiB. Below 1 KiB
+	// 5 lanes trail 4 lanes on the two smaller tables (1488 vs 1548
+	// MB/s at 512 B on 1499 states), so the cut stays at 1 KiB, one
+	// doubling above 512 B, where every dictionary already wins
 	// clearly.
 	laneMinBytes = 1 << 10
 )
@@ -127,7 +137,7 @@ type Options struct {
 	MaxTableBytes int
 	// InterleaveK picks the 1-byte scan loop at every entry point,
 	// ScanChunk (pooled chunks) included: 1 pins the single-stream
-	// loop, any other value applies the piece-length rule (4 lanes from
+	// loop, any other value applies the piece-length rule (5 lanes from
 	// 1 KiB, see chooseK). The stride-2 pair loops and the compressed
 	// rows scan serially either way.
 	InterleaveK int
@@ -356,7 +366,7 @@ func (t *Table) scanSerial(piece []byte, base, dedupe int, sink *[]dfa.Match) in
 
 // scanFrom continues a scan of piece at offset p from row cur to the
 // end of piece, one byte per step: the tail of the serial loop and of
-// each lane of scan4.
+// each lane of scanLanes.
 func (t *Table) scanFrom(piece []byte, p int, cur uint32, base, dedupe int, sink *[]dfa.Match) int {
 	entries := t.Entries
 	cls := &t.ByteClass
@@ -427,12 +437,12 @@ func (t *Table) emitCarry(e uint32, end int, emit func(pid int32, end int)) {
 	}
 }
 
-// laneCut is lane c's (base, dedupe) pair for scan4.
+// laneCut is lane c's (base, dedupe) pair for scanLanes.
 func laneCut(c interleave.Chunk, base, dedupe int) (int, int) {
 	return base + c.Start, max(c.Overlap, dedupe-c.Start)
 }
 
-// scan4 scans piece as the laneK = 4 lanes chunks splits it into, each
+// scanLanes scans piece as the laneK lanes chunks splits it into, each
 // from the root — the host form of the paper's Figure 6a multi-buffered
 // streams: the lanes' dependent table loads are independent chains,
 // so they are in flight together instead of stalling one after
@@ -443,14 +453,14 @@ func laneCut(c interleave.Chunk, base, dedupe int) (int, int) {
 // over the lanes equals scanSerial(piece, base, dedupe).
 //
 // The lanes advance in lockstep over the shortest lane's length inside
-// step4, a call-free leaf that returns at the first byte where any
-// lane's entry carries FlagOut; scan4 emits the flagged lanes' matches
-// out of line and resumes the leaf from the next byte. Then each lane
-// drains its tail serially. With emit's append out of the leaf, the
-// four lane rows stay in registers between matches instead of on the
-// stack (see the package comment).
-func (t *Table) scan4(piece []byte, chunks []interleave.Chunk, base, dedupe int, sink *[]dfa.Match) int {
-	var l lanes4
+// stepLanes, a call-free leaf that returns at the first byte where any
+// lane's entry carries FlagOut; scanLanes emits the flagged lanes'
+// matches out of line and resumes the leaf from the next byte. Then
+// each lane drains its tail serially. With emit's append out of the
+// leaf, the lane rows stay in registers between matches instead of on
+// the stack (see the package comment).
+func (t *Table) scanLanes(piece []byte, chunks []interleave.Chunk, base, dedupe int, sink *[]dfa.Match) int {
+	var l lanes
 	var lb, ld [laneK]int
 	n := len(piece)
 	for i, c := range chunks {
@@ -462,7 +472,7 @@ func (t *Table) scan4(piece []byte, chunks []interleave.Chunk, base, dedupe int,
 		l.x[i] = piece[c.Start : c.Start+n]
 	}
 	kept := 0
-	for p := step4(t.Entries, &t.ByteClass, &l, 0); p < n; p = step4(t.Entries, &t.ByteClass, &l, p+1) {
+	for p := stepLanes(t.Entries, &t.ByteClass, &l, 0); p < n; p = stepLanes(t.Entries, &t.ByteClass, &l, p+1) {
 		for i, e := range l.s {
 			if e&FlagOut != 0 {
 				kept += t.emit(e, p+1, lb[i], ld[i], sink)
@@ -475,39 +485,48 @@ func (t *Table) scan4(piece []byte, chunks []interleave.Chunk, base, dedupe int,
 	return kept
 }
 
-// lanes4 is scan4's lane state across step4 calls: each lane's bytes,
-// all cut to one length, and each lane's last entry (row | FlagOut).
-type lanes4 struct {
+// lanes is scanLanes' lane state across stepLanes calls: each lane's
+// bytes, all cut to one length, and each lane's last entry
+// (row | FlagOut).
+type lanes struct {
 	x [laneK][]byte
 	s [laneK]uint32
 }
 
-// step4 advances the four lanes of l in lockstep from byte p and
+// stepLanes is written out for exactly five lanes.
+var _ = [1]int{}[laneK-5]
+
+// stepLanes advances the five lanes of l in lockstep from byte p and
 // returns the first offset at which any lane's entry carries FlagOut,
-// with l.s holding the four entries of that byte, or len(l.x[0]) with
+// with l.s holding the five entries of that byte, or len(l.x[0]) with
 // l.s holding the final entries. It makes no call (bounds failures
-// aside) and must stay that way: see scan4. It is never inlined, so
-// its registers are its own and CI can disassemble it by name.
+// aside) and must stay that way: see scanLanes. It is never inlined,
+// so its registers are its own and CI can disassemble it by name. At
+// five lanes the compiler reloads a few loop-invariant words (lane
+// byte pointers, the table base) from the stack each byte; those loads
+// are off the lanes' dependent chains, and the five rows stay in
+// registers.
 //
 //go:noinline
-func step4(entries []uint32, cls *[256]byte, l *lanes4, p int) int {
+func stepLanes(entries []uint32, cls *[256]byte, l *lanes, p int) int {
 	_ = cls[0] // one nil check here, none inside the loop
 	x0 := l.x[0]
-	x1, x2, x3 := l.x[1][:len(x0)], l.x[2][:len(x0)], l.x[3][:len(x0)]
-	s0, s1, s2, s3 := l.s[0]&rowMask, l.s[1]&rowMask, l.s[2]&rowMask, l.s[3]&rowMask
+	x1, x2, x3, x4 := l.x[1][:len(x0)], l.x[2][:len(x0)], l.x[3][:len(x0)], l.x[4][:len(x0)]
+	s0, s1, s2, s3, s4 := l.s[0]&rowMask, l.s[1]&rowMask, l.s[2]&rowMask, l.s[3]&rowMask, l.s[4]&rowMask
 	for ; p < len(x0); p++ {
 		e0 := entries[s0+uint32(cls[x0[p]])]
 		e1 := entries[s1+uint32(cls[x1[p]])]
 		e2 := entries[s2+uint32(cls[x2[p]])]
 		e3 := entries[s3+uint32(cls[x3[p]])]
-		if (e0|e1|e2|e3)&FlagOut != 0 {
-			l.s = [laneK]uint32{e0, e1, e2, e3}
+		e4 := entries[s4+uint32(cls[x4[p]])]
+		if (e0|e1|e2|e3|e4)&FlagOut != 0 {
+			l.s = [laneK]uint32{e0, e1, e2, e3, e4}
 			return p
 		}
 		// No flag is set, so the entries are the bare rows.
-		s0, s1, s2, s3 = e0, e1, e2, e3
+		s0, s1, s2, s3, s4 = e0, e1, e2, e3, e4
 	}
-	l.s = [laneK]uint32{s0, s1, s2, s3}
+	l.s = [laneK]uint32{s0, s1, s2, s3, s4}
 	return p
 }
 
@@ -661,7 +680,7 @@ func (e *Engine) TableBytes() int {
 	return total
 }
 
-// InterleaveFor reports the lane count, 1 or 4, that the 1-byte loops
+// InterleaveFor reports the lane count, 1 or 5, that the 1-byte loops
 // use on an input or piece of n bytes — FindAll, Count and ScanChunk
 // at stride 1 and on the stride-2 rung's 1-byte view (diagnostics and
 // tests).
@@ -671,7 +690,7 @@ func (e *Engine) InterleaveFor(n int) int { return chooseK(e.opts.InterleaveK, n
 // entry point — pooled chunks included. InterleaveK 1 pins the serial
 // loop at any length. Otherwise a piece scans as laneK lanes once it is
 // at least laneMinBytes long and at least laneK*laneK times the
-// overlap, so the three overlap re-scans add under a fifth to the work;
+// overlap, so the four overlap re-scans add under a fifth to the work;
 // shorter pieces take the serial loop.
 func chooseK(interleaveK, n, overlap int) int {
 	if interleaveK == 1 || n < laneMinBytes || n < laneK*laneK*overlap {
@@ -697,7 +716,7 @@ func (e *Engine) FindAll(data []byte) []dfa.Match {
 }
 
 // scan1 runs every table's 1-byte loop over piece from the root —
-// scan4 when k is laneK, the serial loop otherwise — keeping matches as
+// scanLanes when k is laneK, the serial loop otherwise — keeping matches as
 // scanSerial does, and returns the kept count. It is the one loop
 // behind FindAll, Count and ScanChunk at stride 1.
 func (e *Engine) scan1(piece []byte, base, dedupe, k int, sink *[]dfa.Match) int {
@@ -713,7 +732,7 @@ func (e *Engine) scan1(piece []byte, base, dedupe, k int, sink *[]dfa.Match) int
 		panic(err)
 	}
 	for _, t := range e.Tables {
-		kept += t.scan4(piece, chunks, base, dedupe, sink)
+		kept += t.scanLanes(piece, chunks, base, dedupe, sink)
 	}
 	return kept
 }

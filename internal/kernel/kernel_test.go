@@ -47,7 +47,7 @@ func matchesEqual(a, b []dfa.Match) bool {
 	return true
 }
 
-// forceLanes is FindAll on the 4-lane loop at any length, even below
+// forceLanes is FindAll on the lane loop at any length, even below
 // the lane rule's cut.
 func forceLanes(e *Engine, data []byte) []dfa.Match {
 	var out []dfa.Match
@@ -88,7 +88,7 @@ func TestFindAllLaneEquivalence(t *testing.T) {
 }
 
 // Count must agree with len(FindAll) on the serial loop and under the
-// lane rule, and the counting form of the 4-lane loop with both.
+// lane rule, and the counting form of the lane loop with both.
 func TestCountEquivalence(t *testing.T) {
 	for _, k := range []int{0, 1} {
 		sys := testSystem(t, []string{"virus", "rus w", "worm", "us"}, false)

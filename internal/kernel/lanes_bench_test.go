@@ -9,16 +9,16 @@ import (
 	"cellmatch/internal/workload"
 )
 
-// BenchmarkLanes sweeps the 1-byte loops over piece sizes on the two
-// served dictionary shapes: the Figure 3 NIDS dictionary (1520-state
-// target, one L1/L2-resident slot) and the 30000-state big dictionary
-// (one slot past L2). k=1 is the serial loop, k=4 the lane loop
-// (scan4); the laneMinBytes cut and the lane loop's gains are read off
-// this sweep:
+// BenchmarkLanes sweeps the 1-byte loops over piece sizes on three
+// dictionary shapes: the Figure 3 NIDS dictionary (1520-state target,
+// one L1/L2-resident slot), an 8000-state dictionary whose table is
+// about L2Budget, and the 30000-state big dictionary (one slot past
+// L2). k=1 is the serial loop, k=laneK the lane loop (scanLanes); the
+// laneK and laneMinBytes choices are read off this sweep:
 //
 //	go test ./internal/kernel -run '^$' -bench Lanes -count 5
 func BenchmarkLanes(b *testing.B) {
-	for _, target := range []int{1520, 30000} {
+	for _, target := range []int{1520, 8000, 30000} {
 		pats, err := workload.Dictionary(workload.DictConfig{TargetStates: target, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
@@ -38,7 +38,7 @@ func BenchmarkLanes(b *testing.B) {
 			b.Fatal(err)
 		}
 		states := e.Tables[0].States
-		for _, n := range []int{256, 512, 1 << 10, 2 << 10, 4 << 10, 8 << 10, 256 << 10} {
+		for _, n := range []int{256, 512, 1 << 10, 2 << 10, 4 << 10, 8 << 10, 64 << 10, 256 << 10} {
 			for _, k := range []int{1, laneK} {
 				b.Run(fmt.Sprintf("states=%d/n=%d/k=%d", states, n, k), func(b *testing.B) {
 					var out []dfa.Match

@@ -43,7 +43,7 @@ func serialRef(e *Engine, piece []byte, base, dedupe int) []dfa.Match {
 
 // checkLanes compares ScanChunk, the counting loop, FindAll and Count
 // on one piece against serialRef, for every engine and every dedupe in
-// [0, len(piece)], and the 4-lane loop forced at the piece's length
+// [0, len(piece)], and the lane loop forced at the piece's length
 // whatever the rule picks.
 func checkLanes(t *testing.T, engines []*Engine, piece []byte) {
 	t.Helper()
@@ -85,8 +85,8 @@ func checkLanes(t *testing.T, engines []*Engine, piece []byte) {
 	}
 }
 
-// The 4-lane loop must equal the serial loop at every piece length from
-// 0 to 4*overlap+8 and around the selection cut, for every dedupe
+// The lane loop must equal the serial loop at every piece length from
+// 0 to laneK*overlap+8 and around the selection cut, for every dedupe
 // window, on the rule's choice and forced.
 func TestLaneEquivalence(t *testing.T) {
 	sys, data := laneFixture(t)
@@ -105,7 +105,7 @@ func TestLaneEquivalence(t *testing.T) {
 	if ov != 39 {
 		t.Fatalf("overlap %d, want 39", ov)
 	}
-	for n := 0; n <= 4*ov+8; n++ {
+	for n := 0; n <= laneK*ov+8; n++ {
 		off := n * 7 % 97
 		checkLanes(t, engines, data[off:off+n])
 	}
@@ -132,6 +132,8 @@ func TestChooseK(t *testing.T) {
 		{0, laneMinBytes, 0, laneK},
 		{0, laneMinBytes, laneMinBytes / (laneK * laneK), laneK},
 		{0, laneMinBytes, laneMinBytes/(laneK*laneK) + 1, 1},
+		{0, laneK * laneK * 100, 100, laneK},
+		{0, laneK*laneK*100 - 1, 100, 1},
 		{2, 10, 0, 1},
 		{2, laneMinBytes, 0, laneK},
 		{8, laneMinBytes - 1, 0, 1},
@@ -170,16 +172,17 @@ func TestInterleaveOnePinsScanChunk(t *testing.T) {
 	}
 }
 
-// laneExits runs scan4's exit/resume loop over piece and records each
-// offset at which step4 stopped, as a bit mask of the flagged lanes.
+// laneExits runs scanLanes' exit/resume loop over piece and records
+// each offset at which stepLanes stopped, as a bit mask of the flagged
+// lanes.
 func laneExits(tb *Table, piece []byte, chunks []interleave.Chunk, lock int) map[int]int {
-	var l lanes4
+	var l lanes
 	for i, c := range chunks {
 		l.x[i] = piece[c.Start : c.Start+lock]
 		l.s[i] = tb.start
 	}
 	exits := map[int]int{}
-	for p := step4(tb.Entries, &tb.ByteClass, &l, 0); p < lock; p = step4(tb.Entries, &tb.ByteClass, &l, p+1) {
+	for p := stepLanes(tb.Entries, &tb.ByteClass, &l, 0); p < lock; p = stepLanes(tb.Entries, &tb.ByteClass, &l, p+1) {
 		for i, e := range l.s {
 			if e&FlagOut != 0 {
 				exits[p] |= 1 << i
@@ -206,16 +209,20 @@ func flaggedBytes(tb *Table, piece []byte, chunks []interleave.Chunk, lock int) 
 	return flagged
 }
 
-// The exit/resume path of the 4-lane loop: step4 stops at every byte
-// where some lane's entry is flagged, scan4 emits those lanes' matches
-// and resumes. Each case plants matches where that path has an edge:
-// flags on all lanes at once or on one, at the first and last lockstep
-// byte, in the serial tail drain, on a lane's dedupe cut, and on every
-// byte. step4 must stop exactly at the flagged bytes (the case's own
-// must-exits included), and the lanes must equal the serial loop for
-// every (base, dedupe) pair, with Count and FindAll agreeing.
+// The exit/resume path of the lane loop: stepLanes stops at every byte
+// where some lane's entry is flagged, scanLanes emits those lanes'
+// matches and resumes. Each case plants matches where that path has an
+// edge: flags on all lanes at once or on one, at the first and last
+// lockstep byte, in the serial tail drain, on a lane's dedupe cut, and
+// on every byte. stepLanes must stop exactly at the flagged bytes (the
+// case's own must-exits included), and the lanes must equal the serial
+// loop for every (base, dedupe) pair, with Count and FindAll agreeing.
+// Fixtures and lane masks follow laneK.
 func TestLaneExitResume(t *testing.T) {
-	const n = 4099 // lanes of unequal length, so lanes 1-3 have tails
+	// Lane 0 is 1000 bytes and the lanes after it a few bytes longer,
+	// so lanes 1..laneK-1 have tails.
+	const n = 1000*laneK - 1
+	const all = 1<<laneK - 1 // the mask of every lane
 	filler := func() []byte {
 		rng := rand.New(rand.NewSource(9))
 		b := make([]byte, n)
@@ -248,33 +255,38 @@ func TestLaneExitResume(t *testing.T) {
 	for _, c := range chunks {
 		lock = min(lock, c.Len())
 	}
-	if e.InterleaveFor(n) != laneK || len(chunks) != laneK || chunks[3].Len() == lock || chunks[1].Overlap != 3 {
-		t.Fatalf("fixture: k=%d chunks=%+v, want 4 lanes of unequal length with overlap 3", e.InterleaveFor(n), chunks)
+	last := chunks[laneK-1]
+	if e.InterleaveFor(n) != laneK || len(chunks) != laneK || last.Len() == lock || chunks[1].Overlap != 3 {
+		t.Fatalf("fixture: k=%d chunks=%+v, want %d lanes of unequal length with overlap 3", e.InterleaveFor(n), chunks, laneK)
 	}
 	cut := chunks[2].Start + 50 // a dedupe value inside lane 2
 
+	oneLane := map[int]int{}
+	for i := range laneK {
+		oneLane[200+10*i] = 1 << i
+	}
 	cases := []struct {
 		name  string
 		eng   *Engine
 		plant func(piece []byte)
-		must  map[int]int // step4 exits the case exists for
+		must  map[int]int // stepLanes exits the case exists for
 	}{
-		{"all four lanes at one offset", e, func(p []byte) {
+		{"all lanes at one offset", e, func(p []byte) {
 			for _, c := range chunks {
 				put(p, c.Start+101, "q")
 			}
-		}, map[int]int{100: 0b1111}},
+		}, map[int]int{100: all}},
 		{"one lane only", e, func(p []byte) {
 			for i, c := range chunks {
 				put(p, c.Start+201+10*i, "zq")
 			}
-		}, map[int]int{200: 0b0001, 210: 0b0010, 220: 0b0100, 230: 0b1000}},
+		}, oneLane},
 		{"lockstep offsets 0 and n-1", e, func(p []byte) {
 			for _, c := range chunks {
 				put(p, c.Start+1, "q")
 				put(p, c.Start+lock, "q")
 			}
-		}, map[int]int{0: 0b1111, lock - 1: 0b1111}},
+		}, map[int]int{0: all, lock - 1: all}},
 		{"tail drain", e, func(p []byte) {
 			for _, c := range chunks[1:] {
 				put(p, c.Start+lock+1, "q")
@@ -289,10 +301,10 @@ func TestLaneExitResume(t *testing.T) {
 			put(p, cut, "wxyz")
 			put(p, cut+1, "q")
 		}, map[int]int{
-			chunks[1].Overlap - 1: 0b1110, chunks[1].Overlap: 0b1110,
-			cut - chunks[2].Start - 1: 0b0100, cut - chunks[2].Start: 0b0100,
+			chunks[1].Overlap - 1: all &^ 1, chunks[1].Overlap: all &^ 1,
+			cut - chunks[2].Start - 1: 1 << 2, cut - chunks[2].Start: 1 << 2,
 		}},
-		{"every byte matches", every, func([]byte) {}, map[int]int{0: 0b1111, lock - 1: 0b1111}},
+		{"every byte matches", every, func([]byte) {}, map[int]int{0: all, lock - 1: all}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -301,20 +313,20 @@ func TestLaneExitResume(t *testing.T) {
 			tb := tc.eng.Tables[0]
 			exits, want := laneExits(tb, piece, chunks, lock), flaggedBytes(tb, piece, chunks, lock)
 			if len(exits) != len(want) {
-				t.Fatalf("step4 stopped at %d bytes, %d are flagged", len(exits), len(want))
+				t.Fatalf("stepLanes stopped at %d bytes, %d are flagged", len(exits), len(want))
 			}
 			for p, mask := range want {
 				if exits[p] != mask {
-					t.Fatalf("step4 at %d: lanes %04b, flagged %04b", p, exits[p], mask)
+					t.Fatalf("stepLanes at %d: lanes %0*b, flagged %0*b", p, laneK, exits[p], laneK, mask)
 				}
 			}
 			for p, mask := range tc.must {
 				if want[p] != mask {
-					t.Fatalf("fixture: byte %d flags lanes %04b, want %04b", p, want[p], mask)
+					t.Fatalf("fixture: byte %d flags lanes %0*b, want %0*b", p, laneK, want[p], laneK, mask)
 				}
 			}
 			for _, cfg := range []struct{ base, dedupe int }{
-				{0, 0}, {1000, 0}, {0, chunks[1].Start + 2}, {7, cut - 1}, {7, cut}, {0, chunks[3].Start + lock}, {3, n},
+				{0, 0}, {1000, 0}, {0, chunks[1].Start + 2}, {7, cut - 1}, {7, cut}, {0, last.Start + lock}, {3, n},
 			} {
 				want := serialRef(tc.eng, piece, cfg.base, cfg.dedupe)
 				var got []dfa.Match
@@ -341,7 +353,7 @@ func TestLaneExitResume(t *testing.T) {
 	}
 }
 
-// FuzzLanes drives the 4-lane loop at any piece length, below the lane
+// FuzzLanes drives the lane loop at any piece length, below the lane
 // rule's cut included, where lane edges, overlap prefixes and the
 // dedupe cut crowd together, with any base and dedupe: its matches and
 // its count must equal the serial loop's. The two patterns are cut to
@@ -354,6 +366,10 @@ func FuzzLanes(f *testing.F) {
 	f.Add([]byte("xyx"), []byte("yxy"), []byte("xyxyxyxyxyxyxyxyxyxyxyx"), uint16(7), uint16(9))
 	f.Add([]byte("q"), []byte("zq"), []byte("zqzqqzq"), uint16(1000), uint16(3))
 	f.Add([]byte(strings.Repeat("ab", 12)), []byte("b"), []byte(strings.Repeat("ab", 300)), uint16(5), uint16(401))
+	// At the rule's cut: a laneMinBytes piece deduped at lane 1's
+	// start, and a piece of exactly laneK*laneK overlaps.
+	f.Add([]byte("wxyz"), []byte("zq"), []byte(strings.Repeat("wxyzq", laneMinBytes/5+1)[:laneMinBytes]), uint16(0), uint16(laneMinBytes/laneK))
+	f.Add([]byte(strings.Repeat("abc", 8)), []byte("ca"), []byte(strings.Repeat("abc", 8*laneK*laneK)[:23*laneK*laneK]), uint16(9), uint16(23))
 	f.Fuzz(func(t *testing.T, p1, p2, piece []byte, base, dedupe uint16) {
 		if len(p1) == 0 || len(p2) == 0 || len(p1) > 24 || len(p2) > 24 || len(piece) > 8<<10 {
 			return

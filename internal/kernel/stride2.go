@@ -2,7 +2,7 @@
 //
 // The dense 1-byte loop issues one dependent table load per input
 // byte, so its throughput is capped by the table's hit latency divided
-// by one — the 4-lane loop hides some of it, but every lane still pays
+// by one — the lane loop hides some of it, but every lane still pays
 // a full load per byte. Processing two symbols per transition halves the
 // depth of the dependency chain: a pair table maps
 // (state, class1, class2) -> next state in ONE load, so the serial

@@ -55,7 +55,7 @@ import (
 // DefaultChunkBytes is the per-worker slice size when Options leaves
 // it zero: 64 KiB keeps per-chunk state in L1/L2 while amortizing the
 // overlap re-scan (a few dozen bytes) to noise. On the dense kernel
-// each such chunk scans as 4 lanes of 16 KiB (the kernel's
+// each such chunk scans as 5 lanes of about 13 KiB (the kernel's
 // piece-length rule takes every piece of 1 KiB or more; InterleaveK 1
 // pins the serial loop instead).
 const DefaultChunkBytes = 64 << 10
