@@ -184,9 +184,9 @@ type Namespace = registry.Namespace
 // paths resolve to.
 const DefaultTenant = registry.DefaultTenant
 
-// Server is the HTTP matching service behind cmd/cellmatchd: /scan,
-// /scan/stream, /scan/batch (coalesced kernel passes), /reload (hot
-// swap), /stats, /metrics (Prometheus text), with every endpoint also
+// Server is the HTTP matching service behind cmd/cellmatchd: /scan
+// (and its alias /scan/batch), /scan/stream, /reload (hot swap),
+// /stats, /metrics (Prometheus text), with every endpoint also
 // mounted per tenant under /t/{tenant}/... when serving a Namespace.
 // See internal/server.
 type Server = server.Server

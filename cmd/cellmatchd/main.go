@@ -1,8 +1,8 @@
 // Command cellmatchd serves the matching engine over HTTP: a
 // long-running daemon that keeps the compiled kernel tables hot,
-// scans every request on one shared worker pool, coalesces small
-// payloads into batched kernel passes, and hot-swaps dictionaries
-// without dropping traffic.
+// scans every request on one shared worker pool (a body that fits one
+// chunk scans on its own handler), and hot-swaps dictionaries without
+// dropping traffic.
 //
 //	cellmatchd -dict signatures.txt -casefold
 //	cellmatchd -regex expressions.txt                  # regex dictionary
@@ -16,7 +16,7 @@
 //	POST /scan          scan the request body; ?mode=pool|seq|adhoc,
 //	                    ?workers=N (adhoc only) ?chunk=N ?count=1
 //	POST /scan/stream   scan a chunked upload without buffering it
-//	POST /scan/batch    coalesce small payloads into one kernel pass
+//	POST /scan/batch    alias of /scan
 //	POST /reload        swap the dictionary (?path=...
 //	                    ?format=artifact|dict|regex)
 //	GET  /stats         dictionary shape + request/byte/match counters
@@ -107,8 +107,6 @@ func run(ctx context.Context, w io.Writer, args []string) error {
 		workers        = fs.Int("workers", 0, "shared scan pool size (0 = one per CPU)")
 		chunk          = fs.Int("chunk", 0, "scan chunk size in bytes (0 = 64 KiB)")
 		maxBody        = fs.Int64("max-body", 0, "request body cap in bytes (0 = 64 MiB)")
-		batchMax       = fs.Int("batch-max", 0, "max payloads per coalesced batch (0 = 64)")
-		batchLinger    = fs.Duration("batch-linger", 0, "batch collection window (0 = 2ms)")
 		maxInflight    = fs.Int("max-inflight", 0, "shed scan requests beyond this concurrency with 429 (0 = unlimited)")
 		maxQueuedBytes = fs.Int64("max-queued-bytes", 0, "shed scan requests once admitted body bytes exceed this (0 = unlimited)")
 		watch          = fs.Bool("watch", false, "poll every dictionary source and hot-reload on change")
@@ -209,8 +207,6 @@ func run(ctx context.Context, w io.Writer, args []string) error {
 		Workers:        *workers,
 		ChunkBytes:     *chunk,
 		MaxBodyBytes:   *maxBody,
-		BatchMax:       *batchMax,
-		BatchLinger:    *batchLinger,
 		MaxInflight:    *maxInflight,
 		MaxQueuedBytes: *maxQueuedBytes,
 	})

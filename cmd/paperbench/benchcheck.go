@@ -34,10 +34,9 @@ import (
 // gatedMetric reports whether a BENCH_*.json field is enforced. The
 // stt_* comparator rows are informational (they measure the old path,
 // whose speed we do not defend), as are the serving layer's
-// batch-coalescing rows (linger-dominated) and the sharded budget
-// sweep; the kernel rows, the speedup ratios, the /scan and
-// /scan/stream throughput, and the sharded scan schedules are the
-// banked performance. Metric names are globally unique across the
+// small-payload /scan rows and the sharded budget sweep; the kernel
+// rows, the speedup ratios, the /scan and /scan/stream throughput, and
+// the sharded scan schedules are the banked performance. Metric names are globally unique across the
 // BENCH files, so one predicate serves every pair.
 func gatedMetric(key string) bool {
 	switch {
@@ -62,9 +61,10 @@ func gatedMetric(key string) bool {
 	case key == "scan_MBps" || key == "stream_MBps":
 		return true
 	case key == "server_scan_p99_ms":
-		// Tail latency of the closed-loop /scan run is banked alongside
-		// its throughput; the p50 and batch latency rows stay
-		// informational (p50 is linger/scheduling noise at this scale).
+		// Tail latency of the closed-loop /scan rounds (pooled over every
+		// request) is banked alongside their throughput; the p50 and
+		// small-payload latency rows stay informational (p50 is
+		// scheduling noise at this scale).
 		return true
 	case key == "sharded_seq_MBps" || key == "sharded_pool_MBps":
 		return true
@@ -155,7 +155,7 @@ func lowerIsBetter(key string) bool {
 func metaMetric(key string) bool {
 	switch key {
 	case "input_bytes", "dict_states", "compressed_dict_states",
-		"scan_payload_bytes", "batch_payload_bytes", "shard_budget_bytes",
+		"scan_payload_bytes", "small_scan_payload_bytes", "shard_budget_bytes",
 		"shards", "filter_patterns", "filter_min_pattern_len",
 		"filter_window", "scenarios", "compile_cores", "compile_patterns":
 		return true

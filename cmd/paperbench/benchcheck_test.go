@@ -160,15 +160,16 @@ const serverBenchJSON = `{
   "input_bytes": 16777216,
   "scan_payload_bytes": 262144,
   "scan_MBps": 200,
-  "batch_MBps": 13,
+  "small_scan_MBps": 13,
   "stream_MBps": 347,
   "server_scan_p50_ms": 8,
   "server_scan_p99_ms": 12,
-  "server_batch_p99_ms": 40
+  "server_small_scan_p99_ms": 40
 }`
 
 // Multi-pair gating: every pair prints its own table; regressions in
-// any pair fail, and informational rows (batch, sweep) never gate.
+// any pair fail, and informational rows (small-payload /scan, sweep)
+// never gate.
 func TestBenchCheckMultiPair(t *testing.T) {
 	kb := writeBench(t, "kernel.json", baseBench)
 	sb := writeBench(t, "shards.json", shardBench)
@@ -191,7 +192,7 @@ func TestBenchCheckMultiPair(t *testing.T) {
 	}
 
 	// A sharded regression in the third pair fails the whole gate; the
-	// collapsed batch row (ungated) does not.
+	// collapsed small-payload row (ungated) does not.
 	badShards := writeBench(t, "bad_shards.json", `{
 	  "input_bytes": 8388608,
 	  "dict_states": 5997,
@@ -208,7 +209,7 @@ func TestBenchCheckMultiPair(t *testing.T) {
 	  "input_bytes": 16777216,
 	  "scan_payload_bytes": 262144,
 	  "scan_MBps": 200,
-	  "batch_MBps": 1,
+	  "small_scan_MBps": 1,
 	  "stream_MBps": 347
 	}`)
 	var b2 strings.Builder
@@ -219,7 +220,7 @@ func TestBenchCheckMultiPair(t *testing.T) {
 	if !strings.Contains(err.Error(), "sharded_seq_MBps") {
 		t.Fatalf("regression not attributed to the sharded metric: %v", err)
 	}
-	if strings.Contains(err.Error(), "batch_MBps") || strings.Contains(err.Error(), "sweep_128k") {
+	if strings.Contains(err.Error(), "small_scan_MBps") || strings.Contains(err.Error(), "sweep_128k") {
 		t.Fatalf("informational row gated: %v", err)
 	}
 }
@@ -332,7 +333,7 @@ func TestBenchCheckCatchesServerRegression(t *testing.T) {
 	  "input_bytes": 16777216,
 	  "scan_payload_bytes": 262144,
 	  "scan_MBps": 100,
-	  "batch_MBps": 13,
+	  "small_scan_MBps": 13,
 	  "stream_MBps": 347
 	}`)
 	var b strings.Builder
@@ -344,20 +345,20 @@ func TestBenchCheckCatchesServerRegression(t *testing.T) {
 
 // The latency rows gate in the inverted direction: p99 going UP past
 // baseline*(1+maxdrop) regresses; going down (faster) never does, and
-// the informational p50/batch rows never gate at all.
+// the informational p50/small-payload rows never gate at all.
 func TestBenchCheckLatencyGateInverted(t *testing.T) {
 	vb := writeBench(t, "server.json", serverBenchJSON)
-	mk := func(name string, p50, p99, batchP99 float64) string {
+	mk := func(name string, p50, p99, smallP99 float64) string {
 		return writeBench(t, name, fmt.Sprintf(`{
 		  "input_bytes": 16777216,
 		  "scan_payload_bytes": 262144,
 		  "scan_MBps": 200,
-		  "batch_MBps": 13,
+		  "small_scan_MBps": 13,
 		  "stream_MBps": 347,
 		  "server_scan_p50_ms": %g,
 		  "server_scan_p99_ms": %g,
-		  "server_batch_p99_ms": %g
-		}`, p50, p99, batchP99))
+		  "server_small_scan_p99_ms": %g
+		}`, p50, p99, smallP99))
 	}
 
 	// +10% tail latency: inside the 20% ceiling.
@@ -379,7 +380,7 @@ func TestBenchCheckLatencyGateInverted(t *testing.T) {
 	if !strings.Contains(err.Error(), "ceiling") {
 		t.Fatalf("inverted gate not reported as a ceiling: %v", err)
 	}
-	// Informational latency rows (p50, batch p99) ballooning never gate.
+	// Informational latency rows (p50, small-payload p99) ballooning never gate.
 	b.Reset()
 	if err := runBenchCheck(&b, vb, mk("noise.json", 80, 12, 400), 0.20); err != nil {
 		t.Fatalf("informational latency rows gated: %v\n%s", err, b.String())

@@ -379,9 +379,10 @@ func TestRunServerBenchJSON(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"== Server engine: cellmatchd end-to-end throughput",
-		"/scan/batch x32 clients",
+		"/scan x32 clients (4 KiB payloads, median of 5)",
 		"/scan over 5 rounds, min-max:",
-		"batch coalescing:",
+		"p99 over all 20 requests (256 KiB payloads)",
+		"p99 over all 320 requests (4 KiB payloads)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
@@ -395,35 +396,39 @@ func TestRunServerBenchJSON(t *testing.T) {
 	if err := json.Unmarshal(blob, &res); err != nil {
 		t.Fatalf("BENCH_server.json does not parse: %v", err)
 	}
-	if res.InputBytes != 1<<20 || res.DictStates < 1400 {
+	if res.InputBytes != 1<<20 || res.DictStates < 1400 || res.SmallScanPayloadBytes != 4<<10 {
 		t.Fatalf("bench metadata wrong: %+v", res)
 	}
 	for name, v := range map[string]float64{
-		"scan_MBps":      res.ScanMBps,
-		"scan_reqps":     res.ScanReqPerSec,
-		"batch_MBps":     res.BatchMBps,
-		"batch_reqps":    res.BatchReqPerSec,
-		"stream_MBps":    res.StreamMBps,
-		"batch_coalesce": res.BatchCoalesceAvg,
-		"scan_p50_ms":    res.ScanP50Ms,
-		"scan_p99_ms":    res.ScanP99Ms,
-		"batch_p50_ms":   res.BatchP50Ms,
-		"batch_p99_ms":   res.BatchP99Ms,
+		"scan_MBps":        res.ScanMBps,
+		"scan_reqps":       res.ScanReqPerSec,
+		"small_scan_MBps":  res.SmallScanMBps,
+		"small_scan_reqps": res.SmallScanReqPerSec,
+		"stream_MBps":      res.StreamMBps,
+		"scan_p50_ms":      res.ScanP50Ms,
+		"scan_p99_ms":      res.ScanP99Ms,
+		"small_p50_ms":     res.SmallScanP50Ms,
+		"small_p99_ms":     res.SmallScanP99Ms,
 	} {
 		if v <= 0 {
 			t.Fatalf("%s not measured: %+v", name, res)
 		}
 	}
-	if res.ScanP99Ms < res.ScanP50Ms || res.BatchP99Ms < res.BatchP50Ms {
+	if res.ScanP99Ms < res.ScanP50Ms || res.SmallScanP99Ms < res.SmallScanP50Ms {
 		t.Fatalf("percentiles not ordered: %+v", res)
 	}
 	// The tail-latency key rides the -checkbench server gate; p50 and
-	// the batch rows stay informational.
+	// the small-payload rows stay informational.
 	if !gatedMetric("server_scan_p99_ms") {
 		t.Fatal("server_scan_p99_ms not gated by -checkbench")
 	}
-	if gatedMetric("server_scan_p50_ms") || gatedMetric("server_batch_p99_ms") {
-		t.Fatal("informational latency keys must not gate")
+	for _, k := range []string{"server_scan_p50_ms", "small_scan_MBps", "server_small_scan_p50_ms", "server_small_scan_p99_ms"} {
+		if gatedMetric(k) {
+			t.Fatalf("informational key %s must not gate", k)
+		}
+	}
+	if !metaMetric("small_scan_payload_bytes") {
+		t.Fatal("small_scan_payload_bytes is a meta row")
 	}
 }
 

@@ -75,25 +75,6 @@ func (m *Matcher) ReadFindAll(r io.Reader, n int, buf []byte, opts ParallelOptio
 	return data, convertMatches(raw), nil
 }
 
-// FindAllBatch scans every payload independently and returns one match
-// slice per payload, each byte-identical to FindAll over that payload
-// alone. All payloads' chunk jobs are flattened into a single task set
-// executed in one pass over the worker pool (ParallelOptions.Pool, or
-// ad-hoc workers), so a batch of small requests costs one fan-out
-// instead of one per payload — the coalescing primitive behind the
-// serving layer's /scan/batch endpoint.
-func (m *Matcher) FindAllBatch(payloads [][]byte, opts ParallelOptions) ([][]Match, error) {
-	raw, err := parallel.ScanMany(m.sys, payloads, m.engineOpts(opts))
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Match, len(raw))
-	for i, r := range raw {
-		out[i] = convertMatches(r)
-	}
-	return out, nil
-}
-
 // ScanReader scans r to EOF in batches of Workers x ChunkBytes bytes,
 // each batch scanned by the parallel engine, carrying the overlap
 // window between batches. Matches are identical to FindAll over the

@@ -99,21 +99,6 @@ func TestShardedEquivalenceMatrix(t *testing.T) {
 				}
 				assertSameMatches(t, "ScanReader", rd, want)
 			}
-			// Batch coalescing (ScanMany's shard x chunk task set): each
-			// payload's result must match a standalone scan of it.
-			third := len(data) / 3
-			payloads := [][]byte{data[:third], data[third : 2*third], nil, data[2*third:]}
-			batch, err := shardedM.FindAllBatch(payloads, ParallelOptions{ChunkBytes: 128, Pool: pool})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, p := range payloads {
-				pw, err := sttM.FindAll(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameMatches(t, "FindAllBatch", batch[i], pw)
-			}
 			s := shardedM.NewStream()
 			for off := 0; off < len(data); off += 33 {
 				s.Write(data[off:min(off+33, len(data))])

@@ -124,20 +124,3 @@ func TestScanFilteredSkipCounter(t *testing.T) {
 		t.Fatalf("sharded fan-out inflated the skip counter: %d vs %d", pooled.Load(), adhoc.Load())
 	}
 }
-
-// TestScanManyFiltered: the batch-coalescing primitive must stay
-// payload-identical with the filter live.
-func TestScanManyFiltered(t *testing.T) {
-	sys := mustSystem(t, testDict)
-	f := filterFor(t, testDict, testDict)
-	data := repeatedText(1500)
-	payloads := [][]byte{data[:500], nil, data[500:900], data[900:]}
-	got, err := ScanMany(sys, payloads, Options{Filter: f, Workers: 2, ChunkBytes: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range payloads {
-		want := sequential(t, sys, p)
-		assertSameMatches(t, want, got[i])
-	}
-}

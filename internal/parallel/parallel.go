@@ -27,15 +27,15 @@
 //
 // One chunk scheduler (schedule) cuts every payload into the ChunkBytes
 // grid and submits each chunk's jobs to a Group once the chunk's bytes,
-// overlap prefix included, are present. Scan and ScanMany hand it bytes
-// that are all present already. ScanArriving hands it a body while the
-// body is still being read, which is the paper's double buffering
-// (Section 4, Figure 5): there one buffer fills by DMA while the SPU
-// matches the other, so the block transfer hides under the scan; here
-// the reading goroutine keeps reading the body into one buffer while
-// the pool workers scan the chunks that have already arrived. The
-// chunk grid, the overlap dedupe and the merge are the same either
-// way, so the output is too.
+// overlap prefix included, are present. Scan and ScanReader hand it
+// bytes that are all present already. ScanArriving hands it a body
+// while the body is still being read, which is the paper's double
+// buffering (Section 4, Figure 5): there one buffer fills by DMA while
+// the SPU matches the other, so the block transfer hides under the
+// scan; here the reading goroutine keeps reading the body into one
+// buffer while the pool workers scan the chunks that have already
+// arrived. The chunk grid, the overlap dedupe and the merge are the
+// same either way, so the output is too.
 package parallel
 
 import (
@@ -80,9 +80,9 @@ type Options struct {
 	// Pool, when non-nil, submits chunk jobs to a persistent shared
 	// worker pool instead of spawning goroutines per call — the
 	// long-running-server mode, where many concurrent scans coalesce
-	// onto one fixed set of scanning threads. Workers is ignored for
-	// execution (the pool's size governs) but still bounds ScanReader's
-	// batch sizing.
+	// onto one fixed set of scanning threads. A payload of one job
+	// still runs on the caller. Workers is ignored for execution (the
+	// pool's size governs) but still bounds ScanReader's batch sizing.
 	Pool *Pool
 	// Filter, when non-nil, runs the skip-scan front-end over each
 	// chunk piece (overlap prefix included): only candidate segments
@@ -293,12 +293,16 @@ func (s *schedule) merge(base, dedupe int) []dfa.Match {
 	return out
 }
 
-// group is where a call's jobs run: the shared Pool when one is set;
-// else, in the one-shot mode, a pool of its own closed by Wait, whose
-// workers plus the caller helping in Wait make up to Workers
-// goroutines; else inline on the caller, when there is no parallelism
-// to exploit.
+// group is where a call's jobs run: inline on the caller when there is
+// at most one job, since handing a lone job to a worker only races the
+// caller's Wait for it; else the shared Pool when one is set; else, in
+// the one-shot mode, a pool of its own closed by Wait, whose workers
+// plus the caller helping in Wait make up to Workers goroutines; else
+// inline on the caller, when there is no parallelism to exploit.
 func (o Options) group(jobs int) *Group {
+	if jobs <= 1 {
+		return (*Pool)(nil).Group()
+	}
 	if o.Pool != nil {
 		return o.Pool.Group()
 	}
@@ -352,35 +356,6 @@ func scanPiece(piece []byte, base, ov int, o Options, unit int, segs func() []fi
 		}
 	}
 	return out
-}
-
-// ScanMany scans every payload independently — one result slice per
-// payload, each byte-identical to Scan over that payload alone — but
-// flattens all payloads' chunk jobs into a single task set executed in
-// one pass over the worker pool. This is the batch-coalescing
-// primitive behind the server's /scan/batch endpoint: many small
-// requests cost one pool submission instead of one goroutine fan-out
-// each. Payloads larger than ChunkBytes are still chunked with the
-// usual overlap reconciliation.
-func ScanMany(sys *compose.System, payloads [][]byte, opts Options) ([][]dfa.Match, error) {
-	o := opts.withDefaults(sys)
-	overlap := overlapOf(sys)
-	jobs := 0
-	for _, data := range payloads {
-		jobs += o.jobs(len(data))
-	}
-	g := o.group(jobs)
-	scheds := make([]*schedule, len(payloads))
-	for pi, data := range payloads {
-		scheds[pi] = newSchedule(o, overlap, len(data), g)
-		scheds[pi].arrived(data)
-	}
-	g.Wait()
-	out := make([][]dfa.Match, len(payloads))
-	for pi, s := range scheds {
-		out[pi] = s.merge(0, 0)
-	}
-	return out, nil
 }
 
 // ScanReader scans r in batches of Workers x ChunkBytes, carrying the

@@ -94,54 +94,6 @@ func TestPoolConcurrentScans(t *testing.T) {
 	}
 }
 
-// ScanMany's per-payload results must match independent Scans, across
-// payload sizes spanning sub-chunk to multi-chunk, with and without a
-// pool.
-func TestScanManyEquivalence(t *testing.T) {
-	sys := poolTestSystem(t)
-	payloads := [][]byte{
-		poolTestTraffic(t, 128, 1),
-		{},
-		poolTestTraffic(t, 5000, 2),
-		[]byte("no hits here at all"),
-		poolTestTraffic(t, 150<<10, 3),
-	}
-	want := make([][]int, len(payloads))
-	for i, p := range payloads {
-		m, err := Scan(sys, p, Options{Workers: 1, ChunkBytes: 64 << 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, hit := range m {
-			want[i] = append(want[i], int(hit.Pattern)<<32|hit.End)
-		}
-	}
-	pool := NewPool(4)
-	defer pool.Close()
-	for name, opts := range map[string]Options{
-		"adhoc": {Workers: 4, ChunkBytes: 8 << 10},
-		"pool":  {ChunkBytes: 8 << 10, Pool: pool},
-		"seq":   {Workers: 1, ChunkBytes: 3000},
-	} {
-		got, err := ScanMany(sys, payloads, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(payloads) {
-			t.Fatalf("%s: %d results for %d payloads", name, len(got), len(payloads))
-		}
-		for i, ms := range got {
-			var keys []int
-			for _, hit := range ms {
-				keys = append(keys, int(hit.Pattern)<<32|hit.End)
-			}
-			if !reflect.DeepEqual(keys, want[i]) {
-				t.Fatalf("%s: payload %d diverged: %d vs %d matches", name, i, len(keys), len(want[i]))
-			}
-		}
-	}
-}
-
 // Jobs that themselves open and wait on a Group of the same pool must
 // complete: Wait runs its group's unstarted jobs itself, so a
 // fully-busy worker set cannot deadlock on nested submissions.
@@ -247,5 +199,57 @@ func TestGroupSubmitsAcrossDrains(t *testing.T) {
 		if got := ran.Load(); got != 5 {
 			t.Fatalf("pool %v: ran %d jobs, want 5", p != nil, got)
 		}
+	}
+}
+
+// A payload of one job runs on the caller even when a Pool is set:
+// handing a lone job to a worker only races the caller's Wait for it.
+// A multi-chunk payload still goes to the pool. With the pool's only
+// worker parked, every token a scan hands the pool stays queued, so
+// the queue length shows which path a scan took.
+func TestGroupOneJobInline(t *testing.T) {
+	pool := NewPool(1)
+	defer pool.Close()
+	o := Options{Pool: pool}
+	for _, jobs := range []int{0, 1} {
+		if g := o.group(jobs); g.p != nil {
+			t.Fatalf("group(%d) submits to the pool", jobs)
+		}
+	}
+	if g := o.group(2); g.p != pool {
+		t.Fatal("group(2) bypasses the pool")
+	}
+
+	release, parked := make(chan struct{}), make(chan struct{})
+	hold := pool.Group()
+	hold.Go(func() { close(parked); <-release })
+	<-parked
+	defer func() { close(release); hold.Wait() }()
+
+	sys := poolTestSystem(t)
+	opts := Options{Pool: pool, ChunkBytes: 4 << 10}
+	small := poolTestTraffic(t, 3000, 1)
+	got, err := Scan(sys, small, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameMatches(t, sequential(t, sys, small), got)
+	data, got, err := ScanArriving(sys, bytes.NewReader(small), len(small), nil, opts)
+	if err != nil || !bytes.Equal(data, small) {
+		t.Fatalf("ScanArriving: %v", err)
+	}
+	assertSameMatches(t, sequential(t, sys, small), got)
+	if n := len(pool.jobs); n != 0 {
+		t.Fatalf("one-chunk scans queued %d jobs on the pool", n)
+	}
+
+	big := poolTestTraffic(t, 3*opts.ChunkBytes, 2)
+	got, err = Scan(sys, big, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameMatches(t, sequential(t, sys, big), got)
+	if len(pool.jobs) == 0 {
+		t.Fatal("a three-chunk scan handed the pool nothing")
 	}
 }

@@ -91,8 +91,8 @@ func (r *stallReader) Read(p []byte) (int, error) {
 
 // A client that declares a body near the cap and stalls after a few
 // bytes holds a buffer sized by bodyPresize, not by its declared
-// length, while the read waits: on the buffered read (mode=seq and
-// /scan/batch) and on the default /scan, which scans as it reads.
+// length, while the read waits: on the buffered read (mode=seq) and
+// on the default /scan, which scans as it reads.
 func TestReadBodyStalledDeclaredLength(t *testing.T) {
 	const declared = 64 << 20
 	s := newBodyServer(t, Config{MaxBodyBytes: declared})
@@ -266,7 +266,7 @@ func TestReloadPathKeepsTenantOptions(t *testing.T) {
 // distinct payloads must each get back matches whose Text fields are
 // slices of their own payload. Each payload spells its planted words
 // in its own letter case, so a buffer handed to another request while
-// a reply or the batch collector still reads it shows up as a foreign
+// a reply or a pool worker still reads it shows up as a foreign
 // spelling. Run under -race.
 func TestRecycledBodiesUnderConcurrency(t *testing.T) {
 	ts, _, m := newTestServer(t, []string{"needle", "haystack"}, Config{Workers: 2, ChunkBytes: 4 << 10})

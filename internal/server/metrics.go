@@ -8,10 +8,9 @@ import (
 
 // handleMetrics serves the Prometheus text exposition (version 0.0.4):
 // the same counters /stats reports as JSON, shaped for scraping —
-// service totals per tenant, batch coalescing, reload outcomes, the
-// admission gauges, and each tenant's live dictionary generation. All
-// sources are atomics or RCU reads; scraping never contends with the
-// scan path.
+// service totals per tenant, reload outcomes, the admission gauges,
+// and each tenant's live dictionary generation. All sources are
+// atomics or RCU reads; scraping never contends with the scan path.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 
@@ -61,14 +60,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "cellmatch_reloads_delta_total{tenant=%q,mode=\"patched\"} %d\n", tn, patched)
 			fmt.Fprintf(w, "cellmatch_reloads_delta_total{tenant=%q,mode=\"unchanged\"} %d\n", tn, unchanged)
 		}
-	})
-
-	batches, payloads := s.batch.stats()
-	metric("cellmatch_batches_total", "Coalesced /scan/batch kernel passes executed.", "counter", func() {
-		fmt.Fprintf(w, "cellmatch_batches_total %d\n", batches)
-	})
-	metric("cellmatch_batch_payloads_total", "Payloads scanned through coalesced batches.", "counter", func() {
-		fmt.Fprintf(w, "cellmatch_batch_payloads_total %d\n", payloads)
 	})
 
 	metric("cellmatch_inflight_requests", "Scan requests currently admitted.", "gauge", func() {

@@ -75,7 +75,7 @@ func TestRegexDictionaryServing(t *testing.T) {
 		}
 	}
 
-	// Streaming and batch endpoints agree too.
+	// The stream endpoint and the batch alias agree too.
 	sr := postScan(t, ts.URL+"/scan/stream", payload)
 	if !sr.Regex || sr.Count != len(want) {
 		t.Fatalf("stream: regex=%v count=%d, want regex=true count=%d", sr.Regex, sr.Count, len(want))

@@ -2,10 +2,9 @@
 // cellmatchd's HTTP surface. It turns the one-shot library calls into
 // a long-running service that keeps the compiled kernel tables hot,
 // shares one fixed worker pool across all requests (no
-// goroutine-per-request fan-out), coalesces small payloads into
-// batched kernel passes, serves a namespace of per-tenant dictionaries
-// that hot-swap independently through internal/registry without
-// dropping in-flight traffic, and sheds load with 429 when a
+// goroutine-per-request fan-out), serves a namespace of per-tenant
+// dictionaries that hot-swap independently through internal/registry
+// without dropping in-flight traffic, and sheds load with 429 when a
 // configured admission budget is exceeded — the paper's sustained
 // line-rate NIDS workload, behind HTTP.
 //
@@ -17,10 +16,7 @@
 //	                   workers (adhoc only), chunk, count, filter,
 //	                   stride (1 pins this request to the 1-byte loops)
 //	POST /scan/stream  chunked upload fed through ScanReader
-//	POST /scan/batch   body = one payload, coalesced across requests
-//	                   (all tenants share the collector; payloads are
-//	                   grouped per captured dictionary) into one
-//	                   kernel pass over the shared pool
+//	POST /scan/batch   alias of /scan (same body, query and reply)
 //	POST /reload       query: path (new artifact),
 //	                   format=artifact|dict|regex,
 //	                   mode=full|delta (delta patches the live matcher
@@ -37,10 +33,11 @@
 // pool workers scan each chunk of the parallel grid as soon as its
 // bytes have arrived (core.Matcher.ReadFindAll), so the body transfer
 // hides under the scan instead of preceding it. Only the handler
-// goroutine reads the body; a stalled client holds no pool worker.
-// Every buffered endpoint (/scan in each mode, /scan/batch) reads into
-// a recycled buffer (bodyBufs) that goes back only after the reply is
-// written.
+// goroutine reads the body; a stalled client holds no pool worker. A
+// body that fits one chunk is one job, which the handler scans itself
+// as its last byte arrives: waking a pool worker for it would only race
+// the handler's wait. Every /scan mode reads into a recycled buffer
+// (bodyBufs) that goes back only after the reply is written.
 //
 // Every request captures its tenant's current registry entry once and
 // scans it for the request's whole lifetime (RCU): a concurrent
@@ -59,6 +56,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cellmatch/internal/core"
@@ -68,8 +66,8 @@ import (
 
 // Config tunes the serving layer. The zero value (plus a Registry or
 // Namespace) is production-ready: GOMAXPROCS pool workers, 64 KiB
-// chunks, 64 MiB request cap, 64-payload batches with a 2 ms linger,
-// and no admission budget (shedding disabled).
+// chunks, 64 MiB request cap, and no admission budget (shedding
+// disabled).
 type Config struct {
 	// Registry supplies the live matcher of a single-tenant server; it
 	// becomes the namespace's "default" slot. Exactly one of Registry
@@ -85,15 +83,9 @@ type Config struct {
 	// ChunkBytes is the default per-chunk size for pool scans. <=0
 	// means the parallel engine's 64 KiB default.
 	ChunkBytes int
-	// MaxBodyBytes caps /scan and /scan/batch request bodies. <=0
-	// means 64 MiB. /scan/stream is exempt (it streams).
+	// MaxBodyBytes caps /scan request bodies. <=0 means 64 MiB.
+	// /scan/stream is exempt (it streams).
 	MaxBodyBytes int64
-	// BatchMax is the most payloads coalesced into one batch pass.
-	// <=0 means 64.
-	BatchMax int
-	// BatchLinger is how long the batcher waits for more payloads
-	// after the first arrives. <=0 means 2 ms.
-	BatchLinger time.Duration
 	// MaxInflight caps concurrently admitted scan requests across all
 	// tenants; excess requests are shed with 429 + Retry-After. <=0
 	// means unlimited (no shedding on request count).
@@ -112,12 +104,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
 	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 64
-	}
-	if c.BatchLinger <= 0 {
-		c.BatchLinger = 2 * time.Millisecond
-	}
 	return c
 }
 
@@ -129,6 +115,20 @@ type tenantState struct {
 	counters counters
 }
 
+// counters are the service-level request/byte/match totals /stats
+// reports.
+type counters struct {
+	requests atomic.Uint64
+	bytes    atomic.Uint64
+	matches  atomic.Uint64
+}
+
+func (c *counters) scan(n, m int) {
+	c.requests.Add(1)
+	c.bytes.Add(uint64(n))
+	c.matches.Add(uint64(m))
+}
+
 // Server is the HTTP matching service.
 type Server struct {
 	cfg         Config
@@ -136,14 +136,12 @@ type Server struct {
 	tenants     map[string]*tenantState
 	tenantNames []string // sorted; fixed at New
 	pool        *parallel.Pool
-	batch       *batcher
 	adm         admission
 	started     time.Time
 }
 
 // New builds a server over the registry or namespace, starting the
-// shared worker pool and the batch collector. Call Close to release
-// them.
+// shared worker pool. Call Close to release it.
 func New(cfg Config) (*Server, error) {
 	switch {
 	case cfg.Registry == nil && cfg.Namespace == nil:
@@ -178,14 +176,12 @@ func New(cfg Config) (*Server, error) {
 	for _, name := range names {
 		s.tenants[name] = &tenantState{name: name, reg: ns.Get(name)}
 	}
-	s.batch = newBatcher(c.BatchMax, c.BatchLinger, s.scanBatchGroup)
 	return s, nil
 }
 
-// Close stops the batch collector and the shared pool. Stop accepting
-// HTTP traffic first; requests racing Close fail with 503.
+// Close stops the shared pool. Stop accepting HTTP traffic first;
+// requests racing Close still complete, scanning on their handlers.
 func (s *Server) Close() {
-	s.batch.close()
 	s.pool.Close()
 }
 
@@ -194,12 +190,14 @@ func (s *Server) Pool() *parallel.Pool { return s.pool }
 
 // Handler returns the routed HTTP handler: the bare paths serving the
 // default tenant plus the /t/{tenant}/ aliases, /metrics, /healthz.
+// /scan/batch is a second route onto handleScan, so clients that post
+// there keep working.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, prefix := range []string{"", "/t/{tenant}"} {
 		mux.HandleFunc("POST "+prefix+"/scan", s.admitted(s.handleScan))
 		mux.HandleFunc("POST "+prefix+"/scan/stream", s.admitted(s.handleScanStream))
-		mux.HandleFunc("POST "+prefix+"/scan/batch", s.admitted(s.handleScanBatch))
+		mux.HandleFunc("POST "+prefix+"/scan/batch", s.admitted(s.handleScan))
 		mux.HandleFunc("POST "+prefix+"/reload", s.handleReload)
 		mux.HandleFunc("GET "+prefix+"/stats", s.handleStats)
 	}
@@ -225,8 +223,7 @@ func (s *Server) tenant(w http.ResponseWriter, r *http.Request) *tenantState {
 
 // MatchJSON is one reported hit. Start/End are byte offsets into the
 // scanned payload ([Start, End) covers the matched text). For literal
-// dictionaries served from a buffered payload (/scan, /scan/batch),
-// Text is the payload slice [Start, End) itself — under CaseFold that
+// dictionaries served from a buffered payload (/scan), Text is the payload slice [Start, End) itself — under CaseFold that
 // is the bytes as they appeared on the wire, not the pattern's
 // canonical case. /scan/stream does not retain the payload, so its
 // Text carries the canonical pattern instead (offsets remain exact).
@@ -240,7 +237,7 @@ type MatchJSON struct {
 	Text    string `json:"text"`
 }
 
-// ScanResponse is the reply to /scan, /scan/stream, and /scan/batch.
+// ScanResponse is the reply to /scan and /scan/stream.
 type ScanResponse struct {
 	// Tenant is the namespace slot that served this request.
 	Tenant string `json:"tenant"`
@@ -316,8 +313,8 @@ func bodyError(w http.ResponseWriter, err error) {
 // byte has arrived, and the buffers bodyBufs keeps.
 const bodyPresize = 1 << 20
 
-// bodyBufs recycles the body buffers of every buffered endpoint (/scan
-// in each mode, /scan/batch), so a steady stream of requests reads
+// bodyBufs recycles the body buffers of /scan in each mode, so a
+// steady stream of requests reads
 // into warm memory instead of allocating and zeroing a fresh buffer
 // each. It holds *[]byte of at most bodyPresize capacity.
 var bodyBufs sync.Pool
@@ -518,76 +515,8 @@ func streamScanStatus(cr *countingReader) int {
 	return http.StatusInternalServerError
 }
 
-func (s *Server) handleScanBatch(w http.ResponseWriter, r *http.Request) {
-	tn := s.tenant(w, r)
-	if tn == nil {
-		return
-	}
-	e := tn.current(w)
-	if e == nil {
-		return
-	}
-	fmode, err := core.ParseFilterMode(r.URL.Query().Get("filter"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	stride, err := core.ParseStride(r.URL.Query().Get("stride"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	bp, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	data := *bp
-	disableFilter := fmode == core.FilterOff && e.Matcher.FilterActive()
-	disableStride2 := stride == 1 && e.Matcher.Stride() == 2
-	var matches []core.Match
-	if disableFilter || disableStride2 {
-		// A coalesced pass is shared across requests and cannot honor a
-		// per-request bypass (filter=off or stride=1): scan this payload
-		// alone on the pool, the same knob semantics as /scan. When the
-		// matcher has nothing to bypass the knob is a no-op and
-		// coalescing proceeds.
-		matches, err = e.Matcher.FindAllParallel(data, core.ParallelOptions{
-			ChunkBytes: s.cfg.ChunkBytes, Pool: s.pool,
-			ScanOptions: core.ScanOptions{DisableFilter: disableFilter, DisableStride2: disableStride2},
-		})
-		if err != nil {
-			putBody(bp)
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-	} else {
-		matches, err = s.batch.submit(e, data)
-		if err != nil {
-			// Shutting down: the collector may still be scanning data,
-			// so the buffer is not recycled.
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-	}
-	defer putBody(bp)
-	tn.counters.scan(len(data), len(matches))
-	s.writeScanResponse(w, r, tn, e, data, len(data), matches, fmode != core.FilterOff, stride == 1)
-}
-
-// scanBatchGroup is the batcher's scan callback: one coalesced kernel
-// pass over every payload in the group, on the shared pool. Groups are
-// keyed by captured registry entry, so payloads from different tenants
-// (or different generations of one tenant) never share a pass.
-func (s *Server) scanBatchGroup(e *registry.Entry, payloads [][]byte) ([][]core.Match, error) {
-	return e.Matcher.FindAllBatch(payloads, core.ParallelOptions{
-		ChunkBytes: s.cfg.ChunkBytes,
-		Pool:       s.pool,
-	})
-}
-
 // writeScanResponse renders the match list. data is the scanned
-// payload when the endpoint buffered it (/scan, /scan/batch) so
-// literal-dictionary Text fields carry the actual matched bytes; nil
+// payload when the endpoint buffered it (/scan) so literal-dictionary Text fields carry the actual matched bytes; nil
 // for /scan/stream, which falls back to the canonical pattern.
 func (s *Server) writeScanResponse(w http.ResponseWriter, r *http.Request, tn *tenantState, e *registry.Entry, data []byte, n int, matches []core.Match, filtered bool, stride1 bool) {
 	regex := e.Matcher.IsRegex()
@@ -754,8 +683,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 }
 
 // StatsResponse is the reply to /stats: the resolved tenant's
-// dictionary and counters plus the service-wide pool, batch, and
-// admission state.
+// dictionary and counters plus the service-wide pool and admission
+// state.
 type StatsResponse struct {
 	Tenant        string   `json:"tenant"`
 	Tenants       []string `json:"tenants"`
@@ -766,8 +695,6 @@ type StatsResponse struct {
 	Requests      uint64   `json:"requests"`
 	BytesScanned  uint64   `json:"bytes_scanned"`
 	MatchesFound  uint64   `json:"matches_found"`
-	Batches       uint64   `json:"batches"`
-	BatchPayloads uint64   `json:"batch_payloads"`
 	ReloadsOK     uint64   `json:"reloads_ok"`
 	ReloadsFailed uint64   `json:"reloads_failed"`
 	// ReloadsPatched counts reloads satisfied by incremental
@@ -794,7 +721,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	ok, failed := tn.reg.Reloads()
 	patched, unchanged := tn.reg.DeltaReloads()
-	batches, payloads := s.batch.stats()
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Tenant:           tn.name,
 		Tenants:          s.tenantNames,
@@ -805,8 +731,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Requests:         tn.counters.requests.Load(),
 		BytesScanned:     tn.counters.bytes.Load(),
 		MatchesFound:     tn.counters.matches.Load(),
-		Batches:          batches,
-		BatchPayloads:    payloads,
 		ReloadsOK:        ok,
 		ReloadsFailed:    failed,
 		ReloadsPatched:   patched,

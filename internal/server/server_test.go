@@ -42,7 +42,8 @@ func newTestServer(t *testing.T, patterns []string, cfg Config) (*httptest.Serve
 	return ts, reg, m
 }
 
-func postScan(t *testing.T, url string, body []byte) ScanResponse {
+// postRaw posts body to url and returns the 200 reply's bytes.
+func postRaw(t *testing.T, url string, body []byte) []byte {
 	t.Helper()
 	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
@@ -53,6 +54,12 @@ func postScan(t *testing.T, url string, body []byte) ScanResponse {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST %s: %d: %s", url, resp.StatusCode, raw)
 	}
+	return raw
+}
+
+func postScan(t *testing.T, url string, body []byte) ScanResponse {
+	t.Helper()
+	raw := postRaw(t, url, body)
 	var sr ScanResponse
 	if err := json.Unmarshal(raw, &sr); err != nil {
 		t.Fatalf("bad JSON from %s: %v: %s", url, err, raw)
@@ -60,8 +67,8 @@ func postScan(t *testing.T, url string, body []byte) ScanResponse {
 	return sr
 }
 
-// wantMatches converts library matches into the wire shape of the
-// buffered endpoints (/scan, /scan/batch): Text is the payload slice.
+// wantMatches converts library matches into the wire shape of /scan:
+// Text is the payload slice.
 func wantMatches(m *core.Matcher, data []byte, hits []core.Match) []MatchJSON {
 	out := make([]MatchJSON, len(hits))
 	for i, h := range hits {
@@ -393,77 +400,6 @@ func TestConcurrentScanReloadNoTornMatcher(t *testing.T) {
 		t.Fatalf("race window too small: %d scans, %d reloads", scans.Load(), reloads.Load())
 	}
 	t.Logf("%d scans raced %d reloads with zero failures", scans.Load(), reloads.Load())
-}
-
-// /scan/batch must coalesce concurrent payloads and still return each
-// request its own payload's exact matches.
-func TestBatchCoalescing(t *testing.T) {
-	ts, _, m := newTestServer(t, sigPatterns(), Config{BatchLinger: 5 * time.Millisecond})
-	const clients = 24
-	payloads := make([][]byte, clients)
-	for i := range payloads {
-		payloads[i] = testTraffic(t, 2<<10+i*137, int64(500+i))
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ref, err := m.FindAll(payloads[i])
-			if err != nil {
-				errs <- err
-				return
-			}
-			want := wantMatches(m, payloads[i], ref)
-			resp, err := http.Post(ts.URL+"/scan/batch", "application/octet-stream", bytes.NewReader(payloads[i]))
-			if err != nil {
-				errs <- err
-				return
-			}
-			raw, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("client %d: %d: %s", i, resp.StatusCode, raw)
-				return
-			}
-			var sr ScanResponse
-			if err := json.Unmarshal(raw, &sr); err != nil {
-				errs <- err
-				return
-			}
-			if len(want) == 0 {
-				want = nil
-			}
-			if !reflect.DeepEqual(sr.Matches, want) {
-				errs <- fmt.Errorf("client %d: batch scan diverged (%d vs %d matches)", i, len(sr.Matches), len(want))
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	// The batcher must have actually coalesced: fewer passes than
-	// payloads (with 24 concurrent clients and a 5ms linger, some must
-	// share a batch).
-	var st StatsResponse
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.BatchPayloads != clients {
-		t.Fatalf("batched %d payloads, want %d", st.BatchPayloads, clients)
-	}
-	if st.Batches == 0 || st.Batches > clients {
-		t.Fatalf("implausible batch count %d", st.Batches)
-	}
-	t.Logf("%d payloads coalesced into %d batches", st.BatchPayloads, st.Batches)
 }
 
 // TestEngineLadderServing drives one dictionary onto every rung of

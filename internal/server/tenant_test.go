@@ -130,6 +130,24 @@ func TestMultiTenantRouting(t *testing.T) {
 	}
 }
 
+// /scan/batch is a route onto /scan: for the same body and query it
+// answers byte for byte what /scan does, bare and under a tenant.
+func TestScanBatchAliasIdentical(t *testing.T) {
+	ts, _ := newTenantServer(t, map[string][]string{
+		registry.DefaultTenant: {"aardvark", "ardv"},
+		"acme":                 {"bumblebee", "bee"},
+	}, Config{})
+	probe := []byte(strings.Repeat("an AARDVARK met a bumblebee; ", 40))
+	for _, prefix := range []string{"", "/t/acme"} {
+		for _, q := range []string{"", "?count=1", "?mode=seq", "?mode=adhoc&workers=2&chunk=64", "?filter=off&stride=1"} {
+			want := postRaw(t, ts.URL+prefix+"/scan"+q, probe)
+			if got := postRaw(t, ts.URL+prefix+"/scan/batch"+q, probe); !bytes.Equal(got, want) {
+				t.Fatalf("%s/scan/batch%s = %s, want the /scan reply %s", prefix, q, got, want)
+			}
+		}
+	}
+}
+
 // The tentpole acceptance test: two tenants hot-swap independently
 // while both serve concurrent /scan traffic, with zero failed requests
 // and zero torn responses — every response's matches belong to the
@@ -495,7 +513,8 @@ func TestChunkedStreamMeteredAdmission(t *testing.T) {
 }
 
 // TestMetricsExposition: /metrics serves Prometheus text with the
-// service counters, per-tenant labels, and admission gauges.
+// service counters, per-tenant labels, and admission gauges. The
+// /scan/batch alias counts as one more /scan request.
 func TestMetricsExposition(t *testing.T) {
 	ts, _ := newTenantServer(t, map[string][]string{
 		registry.DefaultTenant: {"aardvark"},
@@ -528,13 +547,16 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE cellmatch_inflight_requests gauge",
 		"cellmatch_inflight_requests 0",
 		"cellmatch_requests_shed_total 0",
-		"cellmatch_batch_payloads_total 1",
+		`cellmatch_bytes_scanned_total{tenant="acme"} 32`,
 		"cellmatch_pool_workers",
 		"cellmatch_uptime_seconds",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}
+	}
+	if strings.Contains(body, "cellmatch_batch") {
+		t.Fatalf("/metrics still exports batch counters:\n%s", body)
 	}
 }
 
